@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
-from .errors import SignPatternError
+from .errors import DivergenceError, SignPatternError
 
 __all__ = [
     "AccelerationMethod",
@@ -33,13 +34,6 @@ class AccelerationMethod(Enum):
     NO_ACCELERATION = "none"
     EULER_TRANSFORM = "euler"
     CHEBYSHEV_ALTERNATING = "cvz"
-
-    @staticmethod
-    def parse(name: str) -> "AccelerationMethod":
-        for m in AccelerationMethod:
-            if m.value == name:
-                return m
-        raise ValueError(f"unknown acceleration method {name!r}")
 
 
 @dataclass(frozen=True)
@@ -81,9 +75,17 @@ def euler_average(values):
     return last, abs(last - prev)
 
 
-def _cvz(magnitudes):
-    """Cohen-Rodriguez Villegas-Zagier sum of sum_k (-1)^k magnitudes[k]."""
-    n = len(magnitudes)
+def _cvz(terms):
+    """Cohen-Rodriguez Villegas-Zagier sum of strictly alternating real
+    terms; returns (value, error_estimate)."""
+    n = len(terms)
+    signs = [1 if t > 0 else -1 if t < 0 else 0 for t in terms]
+    for k in range(n):
+        if signs[k] == 0 or (k > 0 and signs[k] == signs[k - 1]):
+            raise SignPatternError(
+                f"terms must strictly alternate in sign (index {k})"
+            )
+    magnitudes = [abs(t) for t in terms]
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
     b = -1.0
@@ -93,45 +95,47 @@ def _cvz(magnitudes):
         c = b - c
         s += c * magnitudes[k]
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    return s / d, d
+    a_max = max(magnitudes)
+    return signs[0] * (s / d), max(3.0 * a_max / d, 8.0 * _EPS * a_max)
 
 
-def sum_alternating(terms, method: AccelerationMethod) -> ConvergenceReport:
-    """Sum a list of real terms with the requested scheme.
+def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceReport:
+    """Sum a list of real or complex terms with the requested scheme.
 
-    ChebyshevAlternating requires strictly alternating signs; the other
-    methods accept any sign pattern.
+    `method` is an AccelerationMethod or its string value.  Plain
+    summation refuses terms that grow (DivergenceError), since only an
+    accelerated method regularizes such a series.  ChebyshevAlternating
+    requires strictly alternating signs, in the real and the imaginary
+    part separately for complex terms; Euler accepts any sign pattern.
     """
-    terms = [float(t) for t in terms]
+    method = AccelerationMethod(method)
+    real = True
+    try:
+        terms = [float(t) for t in terms]
+    except TypeError:
+        # Complex terms with no imaginary part are summed as real ones.
+        terms = [complex(t) for t in terms]
+        real = not any(t.imag for t in terms)
+        if real:
+            terms = [t.real for t in terms]
     if not terms:
         raise ValueError("empty term list")
     n = len(terms)
-    abs_terms = [abs(t) for t in terms]
 
     if method is AccelerationMethod.NO_ACCELERATION:
-        value = math.fsum(terms)
-        return ConvergenceReport(value, n, abs_terms[-1], method)
-
-    if method is AccelerationMethod.EULER_TRANSFORM:
-        partials = []
-        acc = 0.0
-        for t in terms:
-            acc += t
-            partials.append(acc)
-        value, est = euler_average(partials)
-        return ConvergenceReport(value, n, est, method)
-
-    if method is AccelerationMethod.CHEBYSHEV_ALTERNATING:
-        signs = [1 if t > 0 else -1 if t < 0 else 0 for t in terms]
-        for k in range(n):
-            if signs[k] == 0 or (k > 0 and signs[k] == signs[k - 1]):
-                raise SignPatternError(
-                    f"terms must strictly alternate in sign (index {k})"
-                )
-        s, d = _cvz(abs_terms)
-        value = signs[0] * s
-        a_max = max(abs_terms)
-        est = max(3.0 * a_max / d, 8.0 * _EPS * a_max)
-        return ConvergenceReport(value, n, est, method)
-
-    raise ValueError(f"unknown method {method}")
+        est = abs(terms[-1])
+        if n >= 8 and est > 1.2 * abs(terms[n // 2]):
+            raise DivergenceError(
+                f"series terms grow (|term {n}| = {est:.3g} > 1.2 |term "
+                f"{n // 2 + 1}|); use an accelerated method")
+        value = math.fsum(terms) if real else sum(terms)
+    elif method is AccelerationMethod.EULER_TRANSFORM:
+        # Complex terms stay complex: one O(N^2) triangle, not one per part.
+        value, est = euler_average(list(accumulate(terms)))
+    elif real:
+        value, est = _cvz(terms)
+    else:
+        re, re_est = _cvz([t.real for t in terms])
+        im, im_est = _cvz([t.imag for t in terms])
+        value, est = complex(re, im), math.hypot(re_est, im_est)
+    return ConvergenceReport(value, n, est, method)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate
 
 from .accel import AccelerationMethod, sum_alternating
 from .errors import (
@@ -36,10 +35,6 @@ EXIT_DIVERGENCE = 2
 EXIT_DOMAIN = 3
 EXIT_RESIDUE = 4
 
-_METHODS = {"none": AccelerationMethod.NO_ACCELERATION,
-            "euler": AccelerationMethod.EULER_TRANSFORM,
-            "cvz": AccelerationMethod.CHEBYSHEV_ALTERNATING}
-
 
 def _parse_complex(text: str) -> complex:
     try:
@@ -47,22 +42,6 @@ def _parse_complex(text: str) -> complex:
         return complex(float(re_part), float(im_part))
     except ValueError:
         raise DomainError(f"cannot parse complex value {text!r}; use 're,im'")
-
-
-def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("OMEGA_ZETA_THREADS")
-    if env and env.isdigit():
-        return max(1, int(env))
-    return 1
-
-
-def _map_ordered(func, items, threads: int):
-    if threads <= 1:
-        return [func(i) for i in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
 
 
 def _record(command: str, inputs: dict, value: complex, est: float,
@@ -107,12 +86,8 @@ def _emit(records, fmt: str):
 
 def _cmd_zeta(args) -> int:
     started = time.perf_counter()
-    if args.m < 2:
-        raise DomainError(f"zeta argument must be >= 2, got {args.m}")
-    threads = _thread_count(args)
-    traces = _map_ordered(lambda n: zeta_term(args.m, n),
-                          range(1, args.terms + 1), threads)
-    rep = sum_alternating([t.value for t in traces], _METHODS[args.method])
+    rep = zeta_via_series(args.m, PrecisionConfig(
+        max_terms=args.terms, method=args.method, trace_enabled=False))
     rec = _record("zeta", {"m": args.m, "terms": args.terms},
                   rep.value, rep.error_estimate, rep.terms_used,
                   args.method, started)
@@ -151,7 +126,7 @@ def _cmd_phi(args) -> int:
 def _cmd_gamma_pfd(args) -> int:
     started = time.perf_counter()
     z = _parse_complex(args.z)
-    rep = gamma_pfd_series(args.a, z, args.terms, _METHODS[args.method])
+    rep = gamma_pfd_series(args.a, z, args.terms, args.method)
     ref = gamma_pair(args.a, z)
     deviation = abs(complex(rep.value) - ref)
     rec = _record("gamma-pfd",
@@ -178,16 +153,11 @@ def _cmd_zeta3(args) -> int:
 def _cmd_converge(args) -> int:
     if args.m < 2:
         raise DomainError(f"zeta argument must be >= 2, got {args.m}")
-    threads = _thread_count(args)
-    traces = _map_ordered(lambda n: zeta_term(args.m, n),
-                          range(1, args.max_terms + 1), threads)
-    terms = [t.value for t in traces]
+    terms = [zeta_term(args.m, n).value for n in range(1, args.max_terms + 1)]
     ref = zeta_oracle(args.m)
     print("n,term,partial_sum,accelerated,abs_error_vs_oracle")
-    partial = 0.0
-    for i, t in enumerate(terms, start=1):
-        partial += t
-        accel = sum_alternating(terms[:i], _METHODS[args.method]).value
+    for i, (t, partial) in enumerate(zip(terms, accumulate(terms)), start=1):
+        accel = sum_alternating(terms[:i], args.method).value
         print(f"{i},{t!r},{partial!r},{accel!r},{abs(accel - ref)!r}")
     return EXIT_OK
 
@@ -212,18 +182,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zeta values from gamma products at roots of unity.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    methods = [m.value for m in AccelerationMethod]
 
     def common(p, default_format="json"):
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default=default_format)
-        p.add_argument("--threads", type=int, default=None,
-                       help="parallel term evaluation (default 1 or "
-                            "OMEGA_ZETA_THREADS)")
 
     p = sub.add_parser("zeta", help="evaluate the series for zeta(m)")
     p.add_argument("m", type=int)
     p.add_argument("--terms", type=int, default=64)
-    p.add_argument("--method", choices=tuple(_METHODS), default="cvz")
+    p.add_argument("--method", choices=methods, default="cvz")
     common(p)
     p.set_defaults(func=_cmd_zeta)
 
@@ -240,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--z", required=True, metavar="RE,IM")
     p.add_argument("--terms", type=int, default=64)
-    p.add_argument("--method", choices=tuple(_METHODS), default="euler")
+    p.add_argument("--method", choices=methods, default="euler")
     common(p)
     p.set_defaults(func=_cmd_gamma_pfd)
 
@@ -248,16 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=[v.value for v in Zeta3Variant],
                    default="hyperbolic")
     p.add_argument("--terms", type=int, default=40)
-    p.add_argument("--method", choices=tuple(_METHODS), default="cvz")
+    p.add_argument("--method", choices=methods, default="cvz")
     common(p)
     p.set_defaults(func=_cmd_zeta3)
 
     p = sub.add_parser("converge", help="per-term convergence table (CSV)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max-terms", type=int, default=64)
-    p.add_argument("--method", choices=tuple(_METHODS), default="cvz")
+    p.add_argument("--method", choices=methods, default="cvz")
     p.add_argument("--format", choices=("csv",), default="csv")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("verify", help="run the property suites")
@@ -268,10 +235,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_z_value(argv):
+    """Turn "--z -0.5,0.1" into "--z=-0.5,0.1": argparse takes a separate
+    value that starts with a single '-' for an option string."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--z" and arg[:1] == "-" and arg[1:2] != "-":
+            out[-1] = "--z=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_z_value(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,10 +21,9 @@ from .accel import (
     AccelerationMethod,
     ConvergenceReport,
     SeriesTermTrace,
-    euler_average,
     sum_alternating,
 )
-from .errors import DivergenceError, DomainError, PoleError
+from .errors import DomainError, PoleError
 from .special import log_gamma, trigamma
 
 __all__ = [
@@ -83,11 +82,13 @@ def shifted_integer_sequence(a: float) -> SymmetricSequence:
 
 
 def summation_identity_check(seq: SymmetricSequence, n_terms: int,
-                             rhs_method: AccelerationMethod | None = None):
+                             rhs_method: AccelerationMethod | str | None = None):
     """Truncated left and right sides of sum 1/a_n^2 = sum -2/(F'(-a_n) a_n^2).
 
     With `rhs_method` set, the right side (whose terms alternate and may
-    decay slowly or grow) is summed through the requested acceleration.
+    decay slowly or grow) is summed by `sum_alternating`, so "none"
+    refuses growing terms; without it the right side is the plain
+    truncated sum.
     """
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")
@@ -97,11 +98,9 @@ def summation_identity_check(seq: SymmetricSequence, n_terms: int,
         an = complex(seq.term(n))
         lhs += 1.0 / (an * an)
         rhs_terms.append(-2.0 / (complex(seq.fprime_at(n)) * an * an))
-    if rhs_method is None or rhs_method is AccelerationMethod.NO_ACCELERATION:
-        rhs = sum(rhs_terms)
-    else:
-        rhs = _sum_complex(rhs_terms, rhs_method).value
-    return lhs, rhs
+    if rhs_method is None:
+        return lhs, sum(rhs_terms)
+    return lhs, complex(sum_alternating(rhs_terms, rhs_method).value)
 
 
 def gamma_pair(a: complex, z: complex) -> complex:
@@ -130,48 +129,8 @@ def modulus_product(a: float, z: complex, n_factors: int) -> complex:
     return cmath.exp(log_prod + tail)
 
 
-@dataclass
-class _ComplexReport:
-    value: complex
-    terms_used: int
-    error_estimate: float
-    method: AccelerationMethod
-
-
-def _sum_complex(terms, method: AccelerationMethod) -> _ComplexReport:
-    """Sum complex terms; real input is routed through sum_alternating."""
-    if all(abs(t.imag) == 0.0 for t in terms):
-        rep = sum_alternating([t.real for t in terms], method)
-        return _ComplexReport(complex(rep.value), rep.terms_used,
-                              rep.error_estimate, method)
-    if method is AccelerationMethod.NO_ACCELERATION:
-        return _ComplexReport(sum(terms), len(terms), abs(terms[-1]), method)
-    if method is AccelerationMethod.EULER_TRANSFORM:
-        partials = []
-        acc = 0j
-        for t in terms:
-            acc += t
-            partials.append(acc)
-        value, est = euler_average(partials)
-        return _ComplexReport(value, len(terms), est, method)
-    # Chebyshev scheme needs a strict real sign pattern; fall back to
-    # per-component treatment.
-    re = sum_alternating([t.real for t in terms], method)
-    im = sum_alternating([t.imag for t in terms], method)
-    return _ComplexReport(complex(re.value, im.value), len(terms),
-                          math.hypot(re.error_estimate, im.error_estimate),
-                          method)
-
-
-def _terms_grow(mags) -> bool:
-    n = len(mags)
-    if n < 8:
-        return False
-    return mags[-1] > 1.2 * mags[n // 2]
-
-
 def gamma_pfd_series(a: float, z: complex, n_terms: int,
-                     method: AccelerationMethod) -> ConvergenceReport:
+                     method: AccelerationMethod | str) -> ConvergenceReport:
     """Partial-fraction series for Gamma(a+z)Gamma(a-z):
 
         Gamma(a)^2 + sum_{k>=0} (-1)^(k+1) Gamma(2a+k)/((a+k)k!)
@@ -209,21 +168,15 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
                                       log_coef + math.log(2.0 * abs(z2 / den))
                                       if z2 != 0 else -math.inf,
                                       int(sign)))
-    mags = [abs(t) for t in terms]
-    if _terms_grow(mags) and method is AccelerationMethod.NO_ACCELERATION:
-        raise DivergenceError(
-            f"series terms grow at a = {a}; use an accelerated method"
-        )
-    rep = _sum_complex(terms, method)
-    value = ga2 + rep.value
-    out_value = value.real if abs(value.imag) <= 1e-12 * abs(value) else value
-    report = ConvergenceReport(out_value, n_terms, rep.error_estimate, method)
+    report = sum_alternating(terms, method)
+    value = ga2 + report.value
+    report.value = value.real if abs(value.imag) <= 1e-12 * abs(value) else value
     report.trace = traces
     return report
 
 
 def inverse_square_series(q: float, n_terms: int,
-                          method: AccelerationMethod) -> ConvergenceReport:
+                          method: AccelerationMethod | str) -> ConvergenceReport:
     """The series -2 sum_n (-1)^n Gamma(2q+n+1)/(Gamma(q+1)^2 (n-1)! (q+n)^3),
     whose (possibly regularized) value is psi'(q+1)."""
     if q <= -1:
@@ -237,9 +190,4 @@ def inverse_square_series(q: float, n_terms: int,
                    - math.lgamma(float(n)) - 3.0 * math.log(q + n))
         sign = 2.0 if n % 2 else -2.0
         terms.append(sign * math.exp(log_mag))
-    mags = [abs(t) for t in terms]
-    if _terms_grow(mags) and method is AccelerationMethod.NO_ACCELERATION:
-        raise DivergenceError(
-            f"series terms grow at q = {q}; use an accelerated method"
-        )
     return sum_alternating(terms, method)

@@ -68,7 +68,7 @@ class SeriesCoefficient:
     route: object
 
 
-def _check_pole_distance(m: int, z: complex, n_max: int = 4):
+def _check_pole_distance(m: int, z: complex):
     # Poles sit at n * omega^{-j}; only |z| close to an integer matters.
     r = abs(z)
     k = round(r)

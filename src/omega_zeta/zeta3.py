@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .accel import (
-    AccelerationMethod,
     ConvergenceReport,
     SeriesTermTrace,
-    euler_average,
     sum_alternating,
 )
 from .errors import DivergenceError, DomainError, ResidueError
@@ -84,7 +82,7 @@ def sine_term(n: int) -> SeriesTermTrace:
             f"sine-form term n={n} has imaginary residual {residual:.3g}"
         )
     sign = 1 if math.cos(phase) > 0 else -1
-    value = sign * math.exp(acc.log_mag) if acc.log_mag > -745.0 else 0.0
+    value = sign * math.exp(acc.log_mag)
     return SeriesTermTrace(n, value, acc.log_mag, sign)
 
 
@@ -111,7 +109,7 @@ def hyperbolic_term(n: int) -> SeriesTermTrace:
                    - log_sinh(_SQRT3 * math.pi * d)
                    - math.lgamma(2.0 * d + 1.0) - 2.0 * math.log(d))
         sign = -1
-    value = sign * math.exp(log_mag) if log_mag > -745.0 else 0.0
+    value = sign * math.exp(log_mag)
     return SeriesTermTrace(n, value, log_mag, sign)
 
 
@@ -158,45 +156,18 @@ def inner_double_sum(n: int, k_terms: int | None = None,
         sign = base_sign if k % 2 == 0 else -base_sign
         terms.append(sign * math.exp(log_mag))
     noise = math.exp(peak) * len(terms) * 2.2e-16
-    mags = [abs(t) for t in terms]
-    growing = len(mags) >= 8 and mags[-1] > 1.2 * mags[len(mags) // 2]
-    if not regularized:
-        if growing or n >= 4:
-            raise DivergenceError(
-                f"inner k-series diverges classically for n = {n}"
-            )
-        return math.fsum(terms), noise
-    partials = []
-    acc = 0.0
-    for t in terms:
-        acc += t
-        partials.append(acc)
-    value, _ = euler_average(partials)
-    return value, noise
+    if not regularized and n >= 4:
+        raise DivergenceError(
+            f"inner k-series diverges classically for n = {n}"
+        )
+    method = "euler" if regularized else "none"
+    return sum_alternating(terms, method).value, noise
 
 
 def zeta3_series(variant: Zeta3Variant,
                  config: PrecisionConfig | None = None) -> ConvergenceReport:
     """Evaluate zeta(3) by the requested variant series."""
     config = config or PrecisionConfig(max_terms=40)
-    method = AccelerationMethod.parse(config.method) if isinstance(
-        config.method, str) else config.method
-
-    if variant is Zeta3Variant.SINE:
-        traces = [sine_term(n) for n in range(1, config.max_terms + 1)]
-        report = sum_alternating([t.value for t in traces], method)
-        if config.trace_enabled:
-            report.trace = traces
-        return report
-
-    if variant is Zeta3Variant.HYPERBOLIC:
-        # max_terms counts index pairs d; each contributes an odd and an
-        # even interleaved term.
-        traces = [hyperbolic_term(n) for n in range(1, 2 * config.max_terms + 1)]
-        report = sum_alternating([t.value for t in traces], method)
-        if config.trace_enabled:
-            report.trace = traces
-        return report
 
     if variant is Zeta3Variant.BETA:
         n_outer = config.max_terms
@@ -213,13 +184,13 @@ def zeta3_series(variant: Zeta3Variant,
                 break
             inner_terms.append(value)
             total_noise += noise
-        rep_beta = sum_alternating(beta_terms, method)
-        rep_inner = sum_alternating(inner_terms, method)
+        rep_beta = sum_alternating(beta_terms, config.method)
+        rep_inner = sum_alternating(inner_terms, config.method)
         report = ConvergenceReport(
             rep_beta.value + rep_inner.value,
             len(inner_terms),
             rep_beta.error_estimate + rep_inner.error_estimate + total_noise,
-            method,
+            rep_beta.method,
         )
         if config.trace_enabled:
             report.trace = [
@@ -230,4 +201,15 @@ def zeta3_series(variant: Zeta3Variant,
             ]
         return report
 
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant is Zeta3Variant.SINE:
+        traces = [sine_term(n) for n in range(1, config.max_terms + 1)]
+    elif variant is Zeta3Variant.HYPERBOLIC:
+        # max_terms counts index pairs d; each contributes an odd and an
+        # even interleaved term.
+        traces = [hyperbolic_term(n) for n in range(1, 2 * config.max_terms + 1)]
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    report = sum_alternating([t.value for t in traces], config.method)
+    if config.trace_enabled:
+        report.trace = traces
+    return report

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .accel import AccelerationMethod, ConvergenceReport, SeriesTermTrace, sum_alternating
+from .accel import ConvergenceReport, SeriesTermTrace, sum_alternating
 from .errors import DomainError
 from .oracle import PrecisionConfig
 from .unity_product import coefficient_log_parts
@@ -30,7 +30,7 @@ def zeta_term(m: int, n: int) -> SeriesTermTrace:
     # term = -m * lambda_n / n^m; lambda_n has sign (-1)^n
     log_mag = math.log(m) + lam_log - m * math.log(n)
     sign = -lam_sign
-    value = sign * math.exp(log_mag) if log_mag > -745.0 else sign * 0.0
+    value = sign * math.exp(log_mag)
     return SeriesTermTrace(n, value, log_mag, sign)
 
 
@@ -40,9 +40,7 @@ def zeta_via_series(m: int, config: PrecisionConfig | None = None) -> Convergenc
         raise DomainError(f"need m >= 2, got {m}")
     config = config or PrecisionConfig()
     traces = [zeta_term(m, n) for n in range(1, config.max_terms + 1)]
-    method = AccelerationMethod.parse(config.method) if isinstance(
-        config.method, str) else config.method
-    report = sum_alternating([t.value for t in traces], method)
+    report = sum_alternating([t.value for t in traces], config.method)
     if config.trace_enabled:
         report.trace = traces
     return report

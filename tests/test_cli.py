@@ -109,12 +109,24 @@ def test_repeated_runs_deterministic_modulo_timing():
     assert a == b
 
 
-def test_threads_do_not_change_values():
-    base = run_cli("zeta", "5", "--terms", "48").stdout
-    threaded = run_cli("zeta", "5", "--terms", "48", "--threads", "4").stdout
-    get = lambda out: {k: v for k, v in json.loads(out).items()
-                       if k != "elapsed_ms"}
-    assert get(base) == get(threaded)
+def test_negative_complex_value_as_separate_token():
+    def stripped(proc):
+        assert proc.returncode == 0, proc.stderr
+        (rec,) = json_records(proc)
+        rec.pop("elapsed_ms")
+        return rec
+
+    for cmd in (("phi", "3"), ("gamma-pfd", "--a", "1.5")):
+        spaced = stripped(run_cli(*cmd, "--z", "-0.5,0.1"))
+        joined = stripped(run_cli(*cmd, "--z=-0.5,0.1"))
+        assert spaced == joined
+        assert spaced["inputs"]["z"] == "-0.5,0.1"
+
+
+def test_zero_terms_is_a_typed_domain_error():
+    proc = run_cli("zeta", "3", "--terms", "0")
+    assert proc.returncode == 3
+    assert "max_terms must be >= 1" in proc.stderr
 
 
 def test_verify_all_passes_quickly():
