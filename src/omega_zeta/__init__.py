@@ -25,10 +25,10 @@ from .gamma_pfd import (
 from .oracle import PrecisionConfig, known_constant, tail_power_sum, zeta_oracle
 from .pfd import PfdResult, pfd_coefficients, pfd_residual
 from .special import (
-    LogComplex,
     UnityRoots,
     beta,
     digamma,
+    exp_log,
     gamma,
     log_cosh,
     log_gamma,

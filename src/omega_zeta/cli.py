@@ -153,11 +153,12 @@ def _cmd_zeta3(args) -> int:
 def _cmd_converge(args) -> int:
     if args.m < 2:
         raise DomainError(f"zeta argument must be >= 2, got {args.m}")
-    terms = [zeta_term(args.m, n).value for n in range(1, args.max_terms + 1)]
+    config = PrecisionConfig(max_terms=args.max_terms, method=args.method)
+    terms = [zeta_term(args.m, n).value for n in range(1, config.max_terms + 1)]
     ref = zeta_oracle(args.m)
     print("n,term,partial_sum,accelerated,abs_error_vs_oracle")
     for i, (t, partial) in enumerate(zip(terms, accumulate(terms)), start=1):
-        accel = sum_alternating(terms[:i], args.method).value
+        accel = sum_alternating(terms[:i], config.method).value
         print(f"{i},{t!r},{partial!r},{accel!r},{abs(accel - ref)!r}")
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from .accel import (
     sum_alternating,
 )
 from .errors import DomainError, PoleError
-from .special import log_gamma, trigamma
+from .special import exp_log, log_gamma, trigamma
 
 __all__ = [
     "SymmetricSequence",
@@ -107,7 +107,7 @@ def gamma_pair(a: complex, z: complex) -> complex:
     """Gamma(a+z) * Gamma(a-z), through log-space."""
     a = complex(a)
     z = complex(z)
-    return (log_gamma(a + z) * log_gamma(a - z)).to_complex()
+    return exp_log(log_gamma(a + z) + log_gamma(a - z))
 
 
 def modulus_product(a: float, z: complex, n_factors: int) -> complex:
@@ -137,17 +137,19 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
                                 * 2z^2/(z^2 - (a+k)^2)
 
     z enters only through z^2, so the result is even in z by
-    construction.
+    construction.  At z = 0 every term vanishes and the value is
+    Gamma(a)^2 exactly, under every method.
     """
     a = float(a)
+    z = complex(z)
+    if not (math.isfinite(a) and cmath.isfinite(z)):
+        raise DomainError(f"need finite a and z, got a = {a}, z = {z}")
     if a == round(a) and a <= 0:
         raise PoleError(f"Gamma(a)^2 pole at a = {a}")
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")
-    z = complex(z)
     z2 = z * z
-    lg_a = log_gamma(a)
-    ga2 = (lg_a * lg_a).to_complex()
+    ga2 = exp_log(2.0 * log_gamma(a))
 
     terms = []
     traces = []
@@ -157,8 +159,8 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
         if abs(den) <= _POLE_DIST:
             raise PoleError(f"z = {z} within tolerance of pole at a+{k}")
         lg = log_gamma(2.0 * a + k)
-        log_coef = lg.log_mag - math.lgamma(k + 1.0) - math.log(abs(ak))
-        coef_sign = (1.0 if math.cos(lg.arg) > 0 else -1.0)
+        log_coef = lg.real - math.lgamma(k + 1.0) - math.log(abs(ak))
+        coef_sign = (1.0 if math.cos(lg.imag) > 0 else -1.0)
         if ak < 0:
             coef_sign = -coef_sign
         sign = -coef_sign if k % 2 == 0 else coef_sign
@@ -168,7 +170,11 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
                                       log_coef + math.log(2.0 * abs(z2 / den))
                                       if z2 != 0 else -math.inf,
                                       int(sign)))
-    report = sum_alternating(terms, method)
+    if z2 == 0:
+        # CVZ would reject the all-zero terms as not alternating.
+        report = ConvergenceReport(0.0, n_terms, 0.0, AccelerationMethod(method))
+    else:
+        report = sum_alternating(terms, method)
     value = ga2 + report.value
     report.value = value.real if abs(value.imag) <= 1e-12 * abs(value) else value
     report.trace = traces

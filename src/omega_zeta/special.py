@@ -2,9 +2,10 @@
 roots of unity, and log-space trigonometric/hyperbolic helpers.
 
 Everything works in double precision.  Products of gamma values whose
-magnitudes exceed the floating-point range are handled through the
-LogComplex representation (log-magnitude plus argument) and only
-exponentiated when the final result is known to be representable.
+magnitudes exceed the floating-point range are formed as sums of plain
+complex logarithms (real part log|.|, imaginary part an argument that is
+never reduced) and only turned into values by `exp_log` once the final
+result is known to be representable.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 from .errors import DomainError, PoleError
 
 __all__ = [
-    "LogComplex",
     "UnityRoots",
+    "exp_log",
     "log_gamma",
     "gamma",
     "digamma",
@@ -52,48 +53,12 @@ _LANCZOS_COEF = (
 _POLE_TOL = 1e-12
 
 
-def _wrap_angle(theta: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    theta = math.fmod(theta, _TWO_PI)
-    if theta > math.pi:
-        theta -= _TWO_PI
-    elif theta <= -math.pi:
-        theta += _TWO_PI
-    return theta
-
-
-@dataclass(frozen=True)
-class LogComplex:
-    """A nonzero complex number stored as (log-magnitude, argument)."""
-
-    log_mag: float
-    arg: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "arg", _wrap_angle(self.arg))
-
-    @staticmethod
-    def from_complex(w: complex) -> "LogComplex":
-        if w == 0:
-            raise ValueError("zero has no logarithm")
-        return LogComplex(math.log(abs(w)), cmath.phase(w))
-
-    def to_complex(self) -> complex:
-        if self.log_mag > _EXP_OVERFLOW:
-            raise OverflowError(
-                f"log-magnitude {self.log_mag:.3g} exceeds double range"
-            )
-        r = math.exp(self.log_mag)
-        return complex(r * math.cos(self.arg), r * math.sin(self.arg))
-
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        return LogComplex(self.log_mag + other.log_mag, self.arg + other.arg)
-
-    def __truediv__(self, other: "LogComplex") -> "LogComplex":
-        return LogComplex(self.log_mag - other.log_mag, self.arg - other.arg)
-
-    def conjugate(self) -> "LogComplex":
-        return LogComplex(self.log_mag, -self.arg)
+def exp_log(lg: complex) -> complex:
+    """exp(lg) for a complex logarithm; OverflowError when too large."""
+    if lg.real > _EXP_OVERFLOW:
+        raise OverflowError(f"log-magnitude {lg.real:.3g} exceeds double range")
+    r = math.exp(lg.real)
+    return complex(r * math.cos(lg.imag), r * math.sin(lg.imag))
 
 
 @dataclass(frozen=True)
@@ -125,48 +90,38 @@ def _near_nonpositive_integer(z: complex, tol: float = _POLE_TOL) -> bool:
     return k <= 0 and abs(z.real - k) <= tol
 
 
-def log_gamma(z: complex) -> LogComplex:
+def log_gamma(z: complex) -> complex:
     """A logarithm of Gamma(z); exponentiating reproduces Gamma(z).
 
     Lanczos approximation for Re z >= 0.5, reflection otherwise.  No
-    attempt is made to keep the imaginary part on a continuous branch;
-    only exp() of the result is meaningful.
+    attempt is made to keep the imaginary part on a continuous branch or
+    in (-pi, pi]; only exp() of the result, `exp_log`, is meaningful.
     """
     z = complex(z)
     if _near_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z}")
     if z.real < 0.5:
         # Gamma(z) = pi / (sin(pi z) * Gamma(1 - z))
-        ls = log_sin(math.pi * z)
-        lg = log_gamma(1.0 - z)
-        return LogComplex(
-            math.log(math.pi) - ls.log_mag - lg.log_mag, -ls.arg - lg.arg
-        )
+        return math.log(math.pi) - log_sin(math.pi * z) - log_gamma(1.0 - z)
     if z.imag == 0.0 and z.real == round(z.real) and z.real <= 171:
         # Positive integers: exact log-factorial path.
-        return LogComplex(math.lgamma(z.real), 0.0)
+        return complex(math.lgamma(z.real))
     w = z - 1.0
     x = complex(_LANCZOS_COEF[0])
     for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
         x += c / (w + i)
     t = w + _LANCZOS_G + 0.5
-    lg = _LOG_SQRT_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(x)
-    return LogComplex(lg.real, lg.imag)
+    return _LOG_SQRT_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(x)
 
 
 def gamma(z: complex) -> complex:
     """Gamma(z) in double precision; raises OverflowError when too large."""
-    return log_gamma(z).to_complex()
+    return exp_log(log_gamma(z))
 
 
-_BERN_OVER_2N = (  # B_{2n}/(2n) for n = 1..6
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-)
+_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
+              5.0 / 66.0, -691.0 / 2730.0)  # B_{2n} for n = 1..6
+_BERN_OVER_2N = tuple(b / (2 * n) for n, b in enumerate(_BERNOULLI, start=1))
 
 
 def digamma(z: complex) -> complex:
@@ -190,10 +145,6 @@ def digamma(z: complex) -> complex:
     return result
 
 
-_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
-              5.0 / 66.0, -691.0 / 2730.0)
-
-
 def trigamma(x: float) -> float:
     """psi'(x) = sum_{k>=0} 1/(x+k)^2 for real x > 0."""
     if x <= 0:
@@ -214,22 +165,25 @@ def trigamma(x: float) -> float:
 
 def beta(a: complex, b: complex) -> complex:
     """B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), assembled in log-space."""
-    return (log_gamma(a) * log_gamma(b) / log_gamma(complex(a) + complex(b))).to_complex()
+    return exp_log(log_gamma(a) + log_gamma(b) - log_gamma(complex(a) + complex(b)))
 
 
-def log_sin(z: complex) -> LogComplex:
+def log_sin(z: complex) -> complex:
     """A logarithm of sin(z), safe for large |Im z|."""
     z = complex(z)
     k = round(z.real / math.pi)
     if abs(z.imag) <= _POLE_TOL and abs(z.real - k * math.pi) <= _POLE_TOL:
         raise PoleError(f"sin zero at z = {z}")
     if abs(z.imag) <= 20.0:
-        return LogComplex.from_complex(cmath.sin(z))
+        # math.log(abs(w)), not cmath.log(w): near |w| = 1 cmath's real part
+        # can differ from it by an ulp, and real-valued series are built on it.
+        w = cmath.sin(z)
+        return complex(math.log(abs(w)), cmath.phase(w))
     if z.imag < 0:
         return log_sin(z.conjugate()).conjugate()
     # sin z = e^{-iz} (e^{2iz} - 1) / (2i); |e^{2iz}| = e^{-2 Im z} is tiny.
     rest = cmath.log((cmath.exp(2j * z) - 1.0) / 2j)
-    return LogComplex(z.imag + rest.real, -z.real + rest.imag)
+    return complex(z.imag + rest.real, -z.real + rest.imag)
 
 
 def log_sinh(x: float) -> float:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import DomainError, PoleError, ResidueError
 from .oracle import tail_power_sum, zeta_oracle
-from .special import LogComplex, log_gamma, roots_of_unity
+from .special import exp_log, log_gamma, roots_of_unity
 
 __all__ = [
     "TruncatedProduct",
@@ -81,15 +81,17 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
     if m < 2:
         raise DomainError(f"need m >= 2, got {m}")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"need finite z, got {z}")
     if z == 0:
         return 1.0 + 0j
     _check_pole_distance(m, z)
 
     if isinstance(route, GammaProduct):
-        acc = LogComplex(0.0, 0.0)
+        acc = 0j
         for w in roots_of_unity(m).roots:
-            acc = acc * log_gamma(1.0 - w * z)
-        return acc.to_complex()
+            acc += log_gamma(1.0 - w * z)
+        return exp_log(acc)
 
     if isinstance(route, TruncatedProduct):
         n_factors = route.n_factors
@@ -125,14 +127,11 @@ def _closed_form_log(m: int, n: int):
     if m == 2:
         # Gamma(1 + n) cancels n! exactly.
         return 0.0, -1 if n % 2 else 1
-    log_mag = 0.0
-    arg = 0.0
+    acc = 0j
     for w in roots_of_unity(m).roots[1:]:
-        lg = log_gamma(1.0 - w * n)
-        log_mag += lg.log_mag
-        arg += lg.arg
-    log_mag -= math.lgamma(n + 1.0)
-    phase = arg + n * math.pi
+        acc += log_gamma(1.0 - w * n)
+    log_mag = acc.real - math.lgamma(n + 1.0)
+    phase = acc.imag + n * math.pi
     residual = abs(math.sin(phase))
     if residual > 1e-9:
         raise ResidueError(

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +26,7 @@ from .accel import (
 )
 from .errors import DivergenceError, DomainError, ResidueError
 from .oracle import PrecisionConfig
-from .special import LogComplex, log_cosh, log_sin, log_sinh
+from .special import log_cosh, log_sin, log_sinh
 from .zeta_series import zeta_term
 
 __all__ = [
@@ -70,20 +71,20 @@ def sine_term(n: int) -> SeriesTermTrace:
     if n < 1:
         raise DomainError("need n >= 1")
     w = _OMEGA3_SQ * n
-    acc = LogComplex(math.log(3.0 * math.pi), _OMEGA3_SQ_ARG)
+    acc = complex(math.log(3.0 * math.pi), _OMEGA3_SQ_ARG)
     for k in range(1, n + 1):
-        acc = acc * LogComplex.from_complex(k + w)
-    acc = acc / LogComplex(math.lgamma(n + 1.0) + 2.0 * math.log(n), 0.0)
-    acc = acc / log_sin(math.pi * w)
-    phase = acc.arg if n % 2 else acc.arg + math.pi
+        acc += complex(math.log(abs(k + w)), cmath.phase(k + w))
+    acc -= math.lgamma(n + 1.0) + 2.0 * math.log(n)
+    acc -= log_sin(math.pi * w)
+    phase = acc.imag if n % 2 else acc.imag + math.pi
     residual = abs(math.sin(phase))
     if residual > 1e-8:
         raise ResidueError(
             f"sine-form term n={n} has imaginary residual {residual:.3g}"
         )
     sign = 1 if math.cos(phase) > 0 else -1
-    value = sign * math.exp(acc.log_mag)
-    return SeriesTermTrace(n, value, acc.log_mag, sign)
+    value = sign * math.exp(acc.real)
+    return SeriesTermTrace(n, value, acc.real, sign)
 
 
 _OMEGA3_SQ_ARG = -2.0 * math.pi / 3.0

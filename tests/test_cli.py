@@ -129,6 +129,41 @@ def test_zero_terms_is_a_typed_domain_error():
     assert "max_terms must be >= 1" in proc.stderr
 
 
+def test_gamma_pfd_at_zero_with_cvz():
+    proc = run_cli("gamma-pfd", "--a", "1.5", "--z=0,0", "--method", "cvz")
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = json_records(proc)
+    assert rec["value_re"] == pytest.approx(math.pi / 4, rel=1e-15)
+    assert rec["abs_error_estimate"] == 0.0
+
+
+@pytest.mark.parametrize("count", ["0", "-4"])
+def test_converge_rejects_non_positive_max_terms(count):
+    proc = run_cli("converge", "--m", "3", "--max-terms", count)
+    assert proc.returncode == 3
+    assert "max_terms must be >= 1" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("phi", "3", "--z", "nan,0"), "z"),
+    (("phi", "3", "--z", "inf,0"), "z"),
+    (("gamma-pfd", "--a", "nan", "--z", "0.3,0"), "a = nan"),
+    (("gamma-pfd", "--a", "1.5", "--z", "nan,0"), "z = (nan+0j)"),
+], ids=["phi-z-nan", "phi-z-inf", "gamma-pfd-a-nan", "gamma-pfd-z-nan"])
+def test_non_finite_input_is_a_typed_domain_error(argv, named):
+    proc = run_cli(*argv)
+    assert proc.returncode == 3
+    assert "need finite" in proc.stderr and named in proc.stderr
+    assert "convert" not in proc.stderr
+
+
+def test_gamma_overflow_reaches_the_user_as_domain_error():
+    proc = run_cli("gamma-pfd", "--a", "100", "--z", "0.3,0")
+    assert proc.returncode == 3
+    assert "exceeds double range" in proc.stderr
+
+
 def test_verify_all_passes_quickly():
     start = time.perf_counter()
     proc = run_cli("verify", "--suite", "all")

@@ -5,6 +5,7 @@ import pytest
 from omega_zeta import (
     AccelerationMethod,
     DivergenceError,
+    DomainError,
     gamma,
     gamma_pair,
     gamma_pfd_series,
@@ -76,6 +77,23 @@ def test_series_z_zero_gives_gamma_squared():
     for a in (0.5, 1.7, 3.0):
         rep = gamma_pfd_series(a, 0.0, 1, NONE)
         assert abs(rep.value - gamma(a).real ** 2) < 1e-12 * gamma(a).real ** 2
+
+
+@pytest.mark.parametrize("method", list(AccelerationMethod))
+def test_series_z_zero_under_every_method(method):
+    for a in (0.5, 1.5, 3.0):
+        rep = gamma_pfd_series(a, 0.0, 16, method)
+        assert rep.value == gamma(a).real ** 2
+        assert rep.error_estimate == 0.0
+        assert rep.method is method
+
+
+@pytest.mark.parametrize("a,z", [(math.nan, 0.3), (math.inf, 0.3),
+                                 (1.5, complex(math.nan, 0.0)),
+                                 (1.5, complex(0.2, -math.inf))])
+def test_series_rejects_non_finite_input(a, z):
+    with pytest.raises(DomainError, match="need finite"):
+        gamma_pfd_series(a, z, 16, EULER)
 
 
 def test_series_regularized_regime():

@@ -4,13 +4,15 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from omega_zeta import (
     DomainError,
-    LogComplex,
     PoleError,
     beta,
     digamma,
+    exp_log,
     gamma,
     log_cosh,
     log_gamma,
@@ -30,19 +32,19 @@ def _rel(a, b):
 
 
 def test_log_gamma_trivial_values():
-    assert abs(log_gamma(1.0).log_mag) < 1e-15
-    assert log_gamma(1.0).arg == 0.0
-    assert abs(log_gamma(5.0).log_mag - math.log(24)) < 1e-14
-    assert abs(log_gamma(0.5).log_mag - 0.5 * math.log(math.pi)) < 1e-14
-    assert log_gamma(0.5).arg == 0.0
+    assert abs(log_gamma(1.0).real) < 1e-15
+    assert log_gamma(1.0).imag == 0.0
+    assert abs(log_gamma(5.0).real - math.log(24)) < 1e-14
+    assert abs(log_gamma(0.5).real - 0.5 * math.log(math.pi)) < 1e-14
+    assert log_gamma(0.5).imag == 0.0
 
 
 def test_log_gamma_complex_vs_multiprecision():
     ref = complex(mp.loggamma(1 + 3j))
     got = log_gamma(1 + 3j)
-    assert abs(got.log_mag - ref.real) <= 1e-12 * abs(ref.real)
+    assert abs(got.real - ref.real) <= 1e-12 * abs(ref.real)
     # arguments may differ by 2*pi; compare exponentials
-    assert abs(cmath.exp(complex(got.log_mag, got.arg))
+    assert abs(cmath.exp(complex(got.real, got.imag))
                - complex(mp.gamma(1 + 3j))) <= 1e-12 * abs(complex(mp.gamma(1 + 3j)))
 
 
@@ -50,7 +52,7 @@ def test_log_gamma_complex_vs_multiprecision():
 def test_log_gamma_accuracy_large_arguments(z):
     ref = complex(mp.loggamma(z))
     got = log_gamma(z)
-    assert abs(got.log_mag - ref.real) <= 1e-12 * max(1.0, abs(ref.real))
+    assert abs(got.real - ref.real) <= 1e-12 * max(1.0, abs(ref.real))
 
 
 def test_log_gamma_pole():
@@ -77,7 +79,7 @@ def test_gamma_reflection_and_recurrence():
         z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
         if abs(z) > 20 or abs(z.real - round(z.real)) < 0.05:
             continue
-        if abs(log_gamma(z).log_mag) > 600 or abs(log_gamma(1 - z).log_mag) > 600:
+        if abs(log_gamma(z).real) > 600 or abs(log_gamma(1 - z).real) > 600:
             continue
         count += 1
         refl = gamma(z) * gamma(1 - z) * cmath.sin(math.pi * z) / math.pi
@@ -93,7 +95,7 @@ def test_gamma_conjugate_symmetry():
 def test_exp_log_gamma_consistency():
     for z in (0.3, 2.5 + 1j, -1.2 + 0.7j, 10 - 4j):
         lg = log_gamma(z)
-        assert _rel(lg.to_complex(), gamma(z)) < 1e-13
+        assert _rel(exp_log(lg), gamma(z)) < 1e-13
 
 
 def test_digamma_values():
@@ -146,11 +148,11 @@ def test_roots_of_unity_invariants(m):
 
 def test_log_sin():
     ls = log_sin(math.pi / 2)
-    assert abs(ls.log_mag) < 1e-15 and abs(ls.arg) < 1e-15
+    assert abs(ls.real) < 1e-15 and abs(ls.imag) < 1e-15
     z = 0.3 + 40j
     got = log_sin(z)
     ref = complex(mp.log(mp.sin(mp.mpc(z))))
-    assert abs(got.log_mag - ref.real) < 1e-12 * abs(ref.real)
+    assert abs(got.real - ref.real) < 1e-12 * abs(ref.real)
     with pytest.raises(PoleError):
         log_sin(2 * math.pi)
 
@@ -162,7 +164,40 @@ def test_log_sinh_log_cosh():
 
 
 def test_log_complex_normalization_and_overflow():
-    lc = LogComplex(1.0, 3 * math.pi)
-    assert -math.pi < lc.arg <= math.pi
     with pytest.raises(OverflowError):
-        LogComplex(800.0, 0.0).to_complex()
+        exp_log(complex(800.0, 0.0))
+
+
+@pytest.mark.parametrize("z", [1.0, 5.0, 0.5, 2.5 + 1j, -1.2 + 0.7j, -3.5, 40 - 70j])
+def test_logs_are_plain_complex(z):
+    assert type(log_gamma(z)) is complex
+    assert type(log_sin(z)) is complex
+
+
+_COORD = st.floats(min_value=-60.0, max_value=60.0, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_COORD, _COORD)
+def test_exp_log_gamma_matches_multiprecision(x, y):
+    z = complex(x, y)
+    # Stay 0.1 away from the poles 0, -1, -2, ...
+    assume(abs(z - min(0, round(x))) >= 0.1)
+    try:
+        got = exp_log(log_gamma(z))
+    except OverflowError:
+        reject()
+    ref = complex(mp.gamma(mp.mpc(x, y)))
+    assert _rel(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("z", [0.3 + 19.5j, 1.7 + 20.0j, -2.2 + 20.5j,
+                               4.0 - 19.9j, -0.6 - 20.1j, 25.0 + 35j])
+def test_log_sin_real_part_across_branch_switch(z):
+    ref = float(mp.log(abs(mp.sin(mp.mpc(z)))))
+    assert abs(log_sin(z).real - ref) <= 1e-13 * abs(ref)
+
+
+def test_gamma_overflow_message():
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        gamma(200.0)
