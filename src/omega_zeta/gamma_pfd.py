@@ -138,7 +138,14 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
 
     z enters only through z^2, so the result is even in z by
     construction.  At z = 0 every term vanishes and the value is
-    Gamma(a)^2 exactly, under every method.
+    Gamma(a)^2 exactly, under every method.  When 2a is a non-positive
+    integer, Gamma(2a+k) has a pole and the series cannot be formed.
+
+    For real z^2 the terms are real, and they alternate strictly from the
+    first k with 2a+k > 0 and (a+k)^2 > z^2 on (for real z with |z| > a
+    the earlier terms have the flipped sign).  The terms before that k
+    are added with fsum and only the rest goes to `sum_alternating`, so
+    CVZ sees an alternating series.
     """
     a = float(a)
     z = complex(z)
@@ -146,6 +153,9 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
         raise DomainError(f"need finite a and z, got a = {a}, z = {z}")
     if a == round(a) and a <= 0:
         raise PoleError(f"Gamma(a)^2 pole at a = {a}")
+    if 2.0 * a == round(2.0 * a) and a < 0:
+        raise DomainError(f"need 2a not a non-positive integer (Gamma(2a+k) "
+                          f"has a pole), got a = {a}")
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")
     z2 = z * z
@@ -170,12 +180,18 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
                                       log_coef + math.log(2.0 * abs(z2 / den))
                                       if z2 != 0 else -math.inf,
                                       int(sign)))
+    k = 0
+    if z2.imag == 0:
+        while k < n_terms - 1 and (2.0 * a + k <= 0 or (a + k) ** 2 <= z2.real):
+            k += 1
+    head = math.fsum(t.real for t in terms[:k])
     if z2 == 0:
         # CVZ would reject the all-zero terms as not alternating.
         report = ConvergenceReport(0.0, n_terms, 0.0, AccelerationMethod(method))
     else:
-        report = sum_alternating(terms, method)
-    value = ga2 + report.value
+        report = sum_alternating(terms[k:], method)
+        report.terms_used = n_terms
+    value = ga2 + head + report.value
     report.value = value.real if abs(value.imag) <= 1e-12 * abs(value) else value
     report.trace = traces
     return report

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
@@ -11,7 +13,7 @@ from omega_zeta import (
     sum_alternating,
     summation_identity_check,
 )
-from omega_zeta.accel import euler_average
+from omega_zeta.accel import _binomial_mean, _binomial_weights, euler_average
 
 CVZ = AccelerationMethod.CHEBYSHEV_ALTERNATING
 EULER = AccelerationMethod.EULER_TRANSFORM
@@ -109,3 +111,84 @@ def test_identity_check_refuses_growing_plain_sum():
     # The right-side terms grow like n^(2a-4); their raw sum is meaningless.
     with pytest.raises(DivergenceError):
         summation_identity_check(shifted_integer_sequence(2.6), 64, NONE)
+
+
+def euler_triangle(values):
+    """Reference Euler transform: average neighbouring partial sums until
+    one is left; the estimate is the size of the last averaging step."""
+    row = list(values)
+    if len(row) == 1:
+        return row[0], abs(row[0])
+    prev = row[0]
+    while len(row) > 1:
+        prev = row[0]
+        row = [(row[i] + row[i + 1]) / 2.0 for i in range(len(row) - 1)]
+    return row[0], abs(row[0] - prev)
+
+
+def _series(kind, n):
+    if kind == "real":
+        return [(-1.0) ** k / (k + 1) for k in range(n)]
+    if kind == "complex":
+        return [complex((-1.0) ** k / (k + 1), (-1.0) ** k * 0.5 / (k + 1) ** 2)
+                for k in range(n)]
+    if kind == "divergent":
+        return [(-1.0) ** k * (k + 1) for k in range(n)]
+    rng = random.Random(n)
+    return [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3, 3) for _ in range(n)]
+
+
+def _exact_mean(sums):
+    n = len(sums) - 1
+    return sum(math.comb(n, k) * s for k, s in enumerate(sums)) / 2 ** n
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "divergent"])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256])
+def test_euler_closed_form_matches_triangle(kind, n):
+    sums = list(accumulate(_series(kind, n)))
+    value, est = euler_average(sums)
+    ref_value, ref_est = euler_triangle(sums)
+    ulps = 4 * math.ulp(max(abs(s) for s in sums))
+    assert abs(value - ref_value) <= ulps
+    assert est >= ref_est - 2 * ulps
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "divergent", "random"])
+@pytest.mark.parametrize("n", [2, 3, 17, 256, 1100])
+def test_euler_rounding_bound_holds_exactly(kind, n):
+    # n = 1100 takes the outer weights C(1099, k)/2^1099 below the normal
+    # range, down to 0.0.
+    terms = _series(kind, n)
+    sums = list(accumulate(terms))
+    value, est = euler_average(sums)
+    last, rounding = _binomial_mean(_binomial_weights(n - 1), sums)
+    prev, _ = _binomial_mean(_binomial_weights(n - 2), sums[:-1])
+    assert (value, est) == (last, abs(last - prev) + rounding)
+
+    def gap(exact_re, exact_im):
+        v = complex(value)
+        return math.hypot(float(Fraction(v.real) - exact_re),
+                          float(Fraction(v.imag) - exact_im))
+
+    def parts(xs):
+        return ([Fraction(complex(x).real) for x in xs],
+                [Fraction(complex(x).imag) for x in xs])
+
+    # The Euler sum of the float partial sums as given ...
+    given_re, given_im = parts(sums)
+    assert gap(_exact_mean(given_re), _exact_mean(given_im)) <= rounding
+    # ... and of the exact partial sums of the float terms.
+    t_re, t_im = parts(terms)
+    exact_re = _exact_mean(list(accumulate(t_re)))
+    exact_im = _exact_mean(list(accumulate(t_im)))
+    assert gap(exact_re, exact_im) <= rounding
+
+
+@pytest.mark.parametrize("n", [2, 17, 256])
+def test_euler_estimate_is_never_zero(n):
+    # Constant partial sums and Sum (-1)^k (k+1) at n = 17 both give
+    # last == prev, where the estimate used to be exactly 0.0.
+    for terms in ([1.0] + [0.0] * (n - 1), _series("divergent", n)):
+        assert sum_alternating(terms, EULER).error_estimate > 0.0
+    assert euler_average([1e-300] * n)[1] > 0.0

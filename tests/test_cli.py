@@ -137,6 +137,16 @@ def test_gamma_pfd_at_zero_with_cvz():
     assert rec["abs_error_estimate"] == 0.0
 
 
+def test_gamma_pfd_cvz_with_z_beyond_a():
+    # The first term's sign is flipped (z^2 > a^2), so it is summed apart.
+    mp = pytest.importorskip("mpmath")
+    proc = run_cli("gamma-pfd", "--a", "0.3", "--z", "0.45,0", "--method", "cvz")
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = json_records(proc)
+    ref = float(mp.gamma(mp.mpf("0.75")) * mp.gamma(mp.mpf("-0.15")))
+    assert abs(rec["value_re"] - ref) <= 1e-12 * abs(ref)
+
+
 @pytest.mark.parametrize("count", ["0", "-4"])
 def test_converge_rejects_non_positive_max_terms(count):
     proc = run_cli("converge", "--m", "3", "--max-terms", count)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from omega_zeta import (
@@ -94,6 +95,23 @@ def test_series_z_zero_under_every_method(method):
 def test_series_rejects_non_finite_input(a, z):
     with pytest.raises(DomainError, match="need finite"):
         gamma_pfd_series(a, z, 16, EULER)
+
+
+@pytest.mark.parametrize("a,z", [(0.3, 0.45), (0.3, 1.7), (0.6, 2.2),
+                                 (1.2, 3.9), (-0.3, 0.45), (-2.7, 1.1)])
+def test_series_cvz_when_z_exceeds_a(a, z):
+    # Terms with (a+k)^2 < z^2 (or a+k, 2a+k <= 0) break the alternation.
+    ref = mp.gamma(mp.mpf(a) + z) * mp.gamma(mp.mpf(a) - z)
+    for zz in (z, -z):
+        rep = gamma_pfd_series(a, zz, 64, CVZ)
+        assert rep.terms_used == 64
+        assert abs(rep.value - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("z", [0.3, 0.0])
+def test_series_rejects_half_integer_pole_of_gamma_2a(z):
+    with pytest.raises(DomainError, match=r"2a .* got a = -0\.5"):
+        gamma_pfd_series(-0.5, z, 16, EULER)
 
 
 def test_series_regularized_regime():
