@@ -8,7 +8,6 @@ from .errors import (
     DomainError,
     OmegaZetaError,
     PoleError,
-    ResidueError,
     SignPatternError,
     UnknownConstantError,
 )

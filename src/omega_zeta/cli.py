@@ -2,8 +2,7 @@
 
 Subcommands: zeta, phi, gamma-pfd, zeta3, converge, verify.  Output is
 JSON by default (one record per line) with the converge table in CSV.
-Exit codes: 0 success, 2 divergence detected, 3 domain/parse error,
-4 internal numerical-residue failure.
+Exit codes: 0 success, 2 divergence detected, 3 domain/parse error.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     PoleError,
-    ResidueError,
     SignPatternError,
 )
 from .gamma_pfd import gamma_pair, gamma_pfd_series
@@ -33,7 +31,6 @@ from .zeta_series import zeta_term, zeta_via_series
 EXIT_OK = 0
 EXIT_DIVERGENCE = 2
 EXIT_DOMAIN = 3
-EXIT_RESIDUE = 4
 
 
 def _parse_complex(text: str) -> complex:
@@ -96,9 +93,9 @@ def _cmd_zeta(args) -> int:
 
 
 _ROUTES = {
-    "product": ("product", lambda: TruncatedProduct(1000)),
-    "gamma": ("gamma", lambda: GammaProduct()),
-    "expzeta": ("expzeta", lambda: ExpZetaSeries()),
+    "product": TruncatedProduct(1000),
+    "gamma": GammaProduct(),
+    "expzeta": ExpZetaSeries(),
 }
 
 
@@ -109,7 +106,7 @@ def _cmd_phi(args) -> int:
     records = []
     values = []
     for name in names:
-        value = unity_gamma_product(args.m, z, _ROUTES[name][1]())
+        value = unity_gamma_product(args.m, z, _ROUTES[name])
         values.append(value)
         records.append(_record("phi", {"m": args.m, "z": args.z, "route": name},
                                value, 0.0, 1, name, started))
@@ -225,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max-terms", type=int, default=64)
     p.add_argument("--method", choices=methods, default="cvz")
-    p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("verify", help="run the property suites")
@@ -261,9 +257,6 @@ def main(argv=None) -> int:
             SignPatternError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ResidueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESIDUE
 
 
 if __name__ == "__main__":

@@ -25,9 +25,5 @@ class DivergenceError(OmegaZetaError):
     """Unaccelerated summation requested for a series whose terms grow."""
 
 
-class ResidueError(OmegaZetaError):
-    """A quantity that must be real carries too large an imaginary part."""
-
-
 class UnknownConstantError(OmegaZetaError):
     """Requested named constant is not in the table."""

@@ -17,12 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .accel import (
-    AccelerationMethod,
-    ConvergenceReport,
-    SeriesTermTrace,
-    sum_alternating,
-)
+from .accel import AccelerationMethod, ConvergenceReport, sum_alternating
 from .errors import DomainError, PoleError
 from .special import exp_log, log_gamma, trigamma
 
@@ -145,7 +140,8 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     first k with 2a+k > 0 and (a+k)^2 > z^2 on (for real z with |z| > a
     the earlier terms have the flipped sign).  The terms before that k
     are added with fsum and only the rest goes to `sum_alternating`, so
-    CVZ sees an alternating series.
+    CVZ sees an alternating series.  Gamma(a)^2 and the coefficients are
+    real, so the value is a float exactly when z^2 is real.
     """
     a = float(a)
     z = complex(z)
@@ -159,27 +155,22 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")
     z2 = z * z
-    ga2 = exp_log(2.0 * log_gamma(a))
+    ga2 = exp_log(2.0 * log_gamma(a)).real
 
     terms = []
-    traces = []
     for k in range(n_terms):
         ak = a + k
         den = z2 - ak * ak
         if abs(den) <= _POLE_DIST:
             raise PoleError(f"z = {z} within tolerance of pole at a+{k}")
-        lg = log_gamma(2.0 * a + k)
-        log_coef = lg.real - math.lgamma(k + 1.0) - math.log(abs(ak))
-        coef_sign = (1.0 if math.cos(lg.imag) > 0 else -1.0)
+        x = 2.0 * a + k
+        log_coef = log_gamma(x).real - math.lgamma(k + 1.0) - math.log(abs(ak))
+        # Gamma(x) < 0 exactly for x in (-1, 0), (-3, -2), ...
+        coef_sign = -1.0 if x < 0 and math.floor(x) % 2 else 1.0
         if ak < 0:
             coef_sign = -coef_sign
         sign = -coef_sign if k % 2 == 0 else coef_sign
-        t = sign * math.exp(log_coef) * 2.0 * z2 / den
-        terms.append(t)
-        traces.append(SeriesTermTrace(k, t.real if t.imag == 0 else abs(t),
-                                      log_coef + math.log(2.0 * abs(z2 / den))
-                                      if z2 != 0 else -math.inf,
-                                      int(sign)))
+        terms.append(sign * math.exp(log_coef) * 2.0 * z2 / den)
     k = 0
     if z2.imag == 0:
         while k < n_terms - 1 and (2.0 * a + k <= 0 or (a + k) ** 2 <= z2.real):
@@ -191,9 +182,7 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     else:
         report = sum_alternating(terms[k:], method)
         report.terms_used = n_terms
-    value = ga2 + head + report.value
-    report.value = value.real if abs(value.imag) <= 1e-12 * abs(value) else value
-    report.trace = traces
+    report.value = ga2 + head + report.value
     return report
 
 

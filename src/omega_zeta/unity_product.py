@@ -3,7 +3,9 @@
 Three independent evaluation routes are provided (truncated product
 with tail correction, gamma-function product, exp of a zeta power
 series), plus the partial-fraction coefficients of the product by two
-independent routes and the rearranged partial-fraction series.
+independent routes and the rearranged partial-fraction series.  The
+coefficients are real: the gamma closed form sums only the real parts
+of its log-gammas and takes the sign (-1)^n from the formula.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, PoleError, ResidueError
+from .errors import DomainError, PoleError
 from .oracle import tail_power_sum, zeta_oracle
 from .special import exp_log, log_gamma, roots_of_unity
 
@@ -96,11 +98,11 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
     if isinstance(route, TruncatedProduct):
         n_factors = route.n_factors
         log_prod = 0j
-        zm = z ** m
+        # (z/n)^m, not z^m/n^m: the integer n^m overflows a float from m = 103.
         for n in range(1, n_factors + 1):
-            log_prod -= cmath.log(1.0 - zm / n ** m)
+            log_prod -= cmath.log(1.0 - (z / n) ** m)
         # First-order tail: exp(z^m * sum_{n>N} n^-m).
-        tail = zm * tail_power_sum(m, n_factors)
+        tail = z ** m * tail_power_sum(m, n_factors)
         return cmath.exp(log_prod + tail)
 
     if isinstance(route, ExpZetaSeries):
@@ -122,29 +124,24 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
     raise ValueError(f"unknown route {route!r}")
 
 
-def _closed_form_log(m: int, n: int):
-    """(log |coef|, sign) of the gamma closed form (-1)^n/n! * prod Gamma(1 - w^j n)."""
+@lru_cache(maxsize=None)
+def coefficient_log_parts(m: int, n: int):
+    """(log |lambda_n|, sign) of the gamma closed form
+
+        lambda_n = (-1)^n/n! * prod_{j=1}^{m-1} Gamma(1 - w^j n).
+
+    lambda_n is real with sign (-1)^n: conjugate roots pair into
+    |Gamma(1 - w^j n)|^2 > 0, and w = -1 (even m) contributes n!.  So
+    only the real parts of the log-gammas are summed.
+    """
+    sign = -1 if n % 2 else 1
     if m == 2:
         # Gamma(1 + n) cancels n! exactly.
-        return 0.0, -1 if n % 2 else 1
-    acc = 0j
+        return 0.0, sign
+    log_mag = 0.0
     for w in roots_of_unity(m).roots[1:]:
-        acc += log_gamma(1.0 - w * n)
-    log_mag = acc.real - math.lgamma(n + 1.0)
-    phase = acc.imag + n * math.pi
-    residual = abs(math.sin(phase))
-    if residual > 1e-9:
-        raise ResidueError(
-            f"coefficient (m={m}, n={n}) has imaginary residual {residual:.3g}"
-        )
-    sign = 1 if math.cos(phase) > 0 else -1
-    return log_mag, sign
-
-
-@lru_cache(maxsize=None)
-def _closed_form_value(m: int, n: int):
-    log_mag, sign = _closed_form_log(m, n)
-    return log_mag, sign, sign * math.exp(log_mag)
+        log_mag += log_gamma(1.0 - w * n).real
+    return log_mag - math.lgamma(n + 1.0), sign
 
 
 def series_coefficient(m: int, n: int, route=ClosedFormRoute()) -> SeriesCoefficient:
@@ -152,8 +149,8 @@ def series_coefficient(m: int, n: int, route=ClosedFormRoute()) -> SeriesCoeffic
     if m < 2 or n < 1:
         raise DomainError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
     if isinstance(route, ClosedFormRoute):
-        _, _, value = _closed_form_value(m, n)
-        return SeriesCoefficient(m, n, value, route)
+        log_mag, sign = coefficient_log_parts(m, n)
+        return SeriesCoefficient(m, n, sign * math.exp(log_mag), route)
     if isinstance(route, ProductRoute):
         if route.n_factors < 4 * n:
             raise DomainError("product route needs at least 4n factors")
@@ -179,12 +176,6 @@ def series_coefficient(m: int, n: int, route=ClosedFormRoute()) -> SeriesCoeffic
                 break
         return SeriesCoefficient(m, n, sign * math.exp(log_mag), route)
     raise ValueError(f"unknown route {route!r}")
-
-
-def coefficient_log_parts(m: int, n: int):
-    """(log-magnitude, sign) of lambda_n from the gamma closed form."""
-    log_mag, sign, _ = _closed_form_value(m, n)
-    return log_mag, sign
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Three alternative series for zeta(3).
 
 * Sine form: terms mix a rising complex product against sin(pi w) with
-  |Im w| growing linearly, both of size exp(sqrt(3) pi n / 2); each
-  term is assembled as a single log-space quantity so the huge factors
-  cancel multiplicatively.
+  |Im w| growing linearly, both of size exp(sqrt(3) pi n / 2).  Each
+  term is real with sign (-1)^(n-1), taken from the formula; only its
+  log-magnitude is accumulated, so the huge factors cancel in log space.
 * Hyperbolic form: odd-index terms use the finite product P(d) against
   cosh, even-index terms Q(d) against sinh.  Interleaved they reproduce
   the alternating zeta(3) series term by term.
@@ -14,20 +14,13 @@
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .accel import (
-    ConvergenceReport,
-    SeriesTermTrace,
-    sum_alternating,
-)
-from .errors import DivergenceError, DomainError, ResidueError
+from .accel import ConvergenceReport, SeriesTermTrace, sum_alternating
+from .errors import DivergenceError, DomainError
 from .oracle import PrecisionConfig
 from .special import log_cosh, log_sin, log_sinh
-from .zeta_series import zeta_term
 
 __all__ = [
     "Zeta3Variant",
@@ -67,27 +60,22 @@ def q_poly(d: int) -> float:
 
 
 def sine_term(n: int) -> SeriesTermTrace:
-    """n-th term of the sine-form series, entirely in log-space."""
+    """n-th term of the sine-form series, entirely in log-space.
+
+    The term equals 3 Gamma(1 - w n) Gamma(1 - w^2 n) / (n! n^3) * (-1)^(n-1)
+    with w = exp(2 pi i / 3), and the gamma pair is a conjugate pair, so its
+    sign is (-1)^(n-1) and only log-magnitudes are accumulated.
+    """
     if n < 1:
         raise DomainError("need n >= 1")
     w = _OMEGA3_SQ * n
-    acc = complex(math.log(3.0 * math.pi), _OMEGA3_SQ_ARG)
+    log_mag = math.log(3.0 * math.pi)
     for k in range(1, n + 1):
-        acc += complex(math.log(abs(k + w)), cmath.phase(k + w))
-    acc -= math.lgamma(n + 1.0) + 2.0 * math.log(n)
-    acc -= log_sin(math.pi * w)
-    phase = acc.imag if n % 2 else acc.imag + math.pi
-    residual = abs(math.sin(phase))
-    if residual > 1e-8:
-        raise ResidueError(
-            f"sine-form term n={n} has imaginary residual {residual:.3g}"
-        )
-    sign = 1 if math.cos(phase) > 0 else -1
-    value = sign * math.exp(acc.real)
-    return SeriesTermTrace(n, value, acc.real, sign)
-
-
-_OMEGA3_SQ_ARG = -2.0 * math.pi / 3.0
+        log_mag += math.log(abs(k + w))
+    log_mag -= math.lgamma(n + 1.0) + 2.0 * math.log(n)
+    log_mag -= log_sin(math.pi * w).real
+    sign = 1 if n % 2 else -1
+    return SeriesTermTrace(n, sign * math.exp(log_mag), log_mag, sign)
 
 
 def hyperbolic_term(n: int) -> SeriesTermTrace:

@@ -50,6 +50,13 @@ def test_gamma_pfd_divergence_exit_code():
     assert proc.returncode == 2
 
 
+def test_phi_product_route_at_large_m():
+    proc = run_cli("phi", "200", "--z", "0.5,0", "--route", "product")
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = json_records(proc)
+    assert rec["value_re"] == pytest.approx(1.0, rel=1e-15)
+
+
 def test_phi_all_routes_disagreement():
     proc = run_cli("phi", "3", "--z", "0.4,0.1", "--route", "all")
     assert proc.returncode == 0

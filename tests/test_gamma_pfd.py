@@ -114,6 +114,16 @@ def test_series_rejects_half_integer_pole_of_gamma_2a(z):
         gamma_pfd_series(-0.5, z, 16, EULER)
 
 
+@pytest.mark.parametrize("method", [EULER, CVZ])
+@pytest.mark.parametrize("a,z", [(-0.0010936, 0.71505), (-2.998009, 0.42306),
+                                 (-0.9954445, 0.4823201j)])
+def test_series_is_real_for_real_z_squared(a, z, method):
+    # Gamma(a)^2 is real; near a pole of Gamma(a) it is large, and a complex
+    # exp of its logarithm would leave a spurious imaginary part.
+    rep = gamma_pfd_series(a, z, 64, method)
+    assert type(rep.value) is float
+
+
 def test_series_regularized_regime():
     for a in (1.5, 2.0, 3.0):
         for z in (0.1, 0.3, 0.45, 0.2j):

@@ -1,6 +1,8 @@
 import cmath
 import math
+import random
 
+import mpmath as mp
 import pytest
 
 from omega_zeta import (
@@ -15,6 +17,7 @@ from omega_zeta import (
     unity_gamma_product,
     unity_product_pfd,
 )
+from omega_zeta.unity_product import coefficient_log_parts
 
 ROUTES = (TruncatedProduct(1000), GammaProduct(), ExpZetaSeries())
 
@@ -104,3 +107,33 @@ def test_pfd_series_matches_gamma_route_within_tail():
     v = unity_product_pfd(3, 0.3, 100)
     ref = unity_gamma_product(3, 0.3, GammaProduct())
     assert abs(v.value - ref) < v.tail_bound
+
+
+def test_coefficient_log_parts_against_multiprecision():
+    # lambda_n = (-1)^n/n! prod_j Gamma(1 - w^j n) is real with sign (-1)^n.
+    rng = random.Random(11)
+    with mp.workdps(40):
+        for _ in range(40):
+            m, n = rng.randint(3, 120), rng.randint(1, 64)
+            log_mag, sign = coefficient_log_parts(m, n)
+            assert sign == (-1) ** n
+            ref = mp.fsum(mp.re(mp.loggamma(1 - mp.exp(2j * mp.pi * j / m) * n))
+                          for j in range(1, m)) - mp.loggamma(n + 1)
+            assert abs(log_mag - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("m", [500, 2000])
+def test_coefficient_log_parts_large_m(m):
+    for n in range(1, 9):
+        log_mag, sign = coefficient_log_parts(m, n)
+        assert sign == (-1) ** n
+        assert math.isfinite(log_mag)
+
+
+@pytest.mark.parametrize("m", [103, 120])
+def test_truncated_product_beyond_float_range_of_n_to_the_m(m):
+    # n^m as an integer no longer converts to a float from m = 103 on.
+    for z in (0.5, 0.99, 0.5 + 0.3j, 0.95j, cmath.rect(1.2, 0.3)):
+        ref = unity_gamma_product(m, z, GammaProduct())
+        v = unity_gamma_product(m, z, TruncatedProduct(1000))
+        assert abs(v - ref) <= 1e-9 * abs(ref)

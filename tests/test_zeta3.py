@@ -52,6 +52,17 @@ def test_sine_terms_match_series_terms():
         assert abs(sine_term(n).value - ref) <= 1e-9 * abs(ref)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 300, 1000])
+def test_sine_term_sign_and_magnitude(n):
+    # The term is 3 Gamma(1 - w n) Gamma(1 - w^2 n) / (n! n^3) * (-1)^(n-1).
+    w = mp.exp(2j * mp.pi / 3)
+    ref = (mp.log(3) + mp.re(mp.loggamma(1 - w * n)) + mp.re(mp.loggamma(1 - w * w * n))
+           - mp.loggamma(n + 1) - 3 * mp.log(n))
+    term = sine_term(n)
+    assert term.sign == (-1) ** (n - 1)
+    assert abs(term.log_mag - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
 def test_hyperbolic_terms_match_series_terms():
     for n in range(1, 21):
         ref = zeta_term(3, n).value
