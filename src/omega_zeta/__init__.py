@@ -24,7 +24,6 @@ from .gamma_pfd import (
 from .oracle import PrecisionConfig, known_constant, tail_power_sum, zeta_oracle
 from .pfd import PfdResult, pfd_coefficients, pfd_residual
 from .special import (
-    UnityRoots,
     beta,
     digamma,
     exp_log,
@@ -37,12 +36,11 @@ from .special import (
     trigamma,
 )
 from .unity_product import (
-    ClosedFormRoute,
     ExpZetaSeries,
     GammaProduct,
-    ProductRoute,
-    SeriesCoefficient,
+    PfdSeriesValue,
     TruncatedProduct,
+    product_coefficient,
     series_coefficient,
     unity_gamma_product,
     unity_product_pfd,

@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 
-from .errors import DivergenceError, SignPatternError
+from .errors import DivergenceError, DomainError, SignPatternError
 
 __all__ = [
     "AccelerationMethod",
     "SeriesTermTrace",
     "ConvergenceReport",
     "sum_alternating",
-    "euler_average",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -40,6 +39,11 @@ class AccelerationMethod(Enum):
     NO_ACCELERATION = "none"
     EULER_TRANSFORM = "euler"
     CHEBYSHEV_ALTERNATING = "cvz"
+
+    @classmethod
+    def _missing_(cls, value):
+        names = ", ".join(m.value for m in cls)
+        raise DomainError(f"unknown method {value!r}; use one of {names}")
 
 
 @dataclass(frozen=True)

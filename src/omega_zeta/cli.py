@@ -93,7 +93,7 @@ def _cmd_zeta(args) -> int:
 
 
 _ROUTES = {
-    "product": TruncatedProduct(1000),
+    "product": TruncatedProduct(),
     "gamma": GammaProduct(),
     "expzeta": ExpZetaSeries(),
 }
@@ -161,7 +161,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(args.suite, args.tolerance)
+    results = run_suite(args.suite)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
-    p.add_argument("--tolerance", type=float, default=1e-8)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -41,7 +41,6 @@ class SymmetricSequence:
     for the canonical even-zero product F(z) = z * prod(1 - (z/a_n)^2).
     """
 
-    label: str
     term: Callable[[int], complex]
     fprime_at: Callable[[int], complex]
 
@@ -49,7 +48,6 @@ class SymmetricSequence:
 def integer_sequence() -> SymmetricSequence:
     """a_n = n, for which F(z) = sin(pi z)/pi and F'(-n) = (-1)^n."""
     return SymmetricSequence(
-        "integers",
         term=lambda n: float(n),
         fprime_at=lambda n: -1.0 if n % 2 else 1.0,
     )
@@ -70,20 +68,18 @@ def shifted_integer_sequence(a: float) -> SymmetricSequence:
         return sign * math.exp(log_mag)
 
     return SymmetricSequence(
-        f"shifted(a={a})",
         term=lambda n: a - 1.0 + n,
         fprime_at=fprime,
     )
 
 
 def summation_identity_check(seq: SymmetricSequence, n_terms: int,
-                             rhs_method: AccelerationMethod | str | None = None):
+                             rhs_method: AccelerationMethod | str = "none"):
     """Truncated left and right sides of sum 1/a_n^2 = sum -2/(F'(-a_n) a_n^2).
 
-    With `rhs_method` set, the right side (whose terms alternate and may
-    decay slowly or grow) is summed by `sum_alternating`, so "none"
-    refuses growing terms; without it the right side is the plain
-    truncated sum.
+    The right side, whose terms alternate and may decay slowly or grow,
+    is summed by `sum_alternating`, so the default "none" refuses
+    growing terms with DivergenceError.
     """
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")
@@ -93,8 +89,6 @@ def summation_identity_check(seq: SymmetricSequence, n_terms: int,
         an = complex(seq.term(n))
         lhs += 1.0 / (an * an)
         rhs_terms.append(-2.0 / (complex(seq.fprime_at(n)) * an * an))
-    if rhs_method is None:
-        return lhs, sum(rhs_terms)
     return lhs, complex(sum_alternating(rhs_terms, rhs_method).value)
 
 
@@ -143,6 +137,7 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     CVZ sees an alternating series.  Gamma(a)^2 and the coefficients are
     real, so the value is a float exactly when z^2 is real.
     """
+    method = AccelerationMethod(method)
     a = float(a)
     z = complex(z)
     if not (math.isfinite(a) and cmath.isfinite(z)):
@@ -178,7 +173,7 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     head = math.fsum(t.real for t in terms[:k])
     if z2 == 0:
         # CVZ would reject the all-zero terms as not alternating.
-        report = ConvergenceReport(0.0, n_terms, 0.0, AccelerationMethod(method))
+        report = ConvergenceReport(0.0, n_terms, 0.0, method)
     else:
         report = sum_alternating(terms[k:], method)
         report.terms_used = n_terms
@@ -190,6 +185,7 @@ def inverse_square_series(q: float, n_terms: int,
                           method: AccelerationMethod | str) -> ConvergenceReport:
     """The series -2 sum_n (-1)^n Gamma(2q+n+1)/(Gamma(q+1)^2 (n-1)! (q+n)^3),
     whose (possibly regularized) value is psi'(q+1)."""
+    method = AccelerationMethod(method)
     if q <= -1:
         raise DomainError(f"need q > -1, got {q}")
     if n_terms < 1:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .accel import AccelerationMethod
 from .errors import DomainError, UnknownConstantError
 
-__all__ = ["PrecisionConfig", "zeta_oracle", "known_constant"]
+__all__ = ["PrecisionConfig", "zeta_oracle", "tail_power_sum", "known_constant"]
 
 
 @dataclass
@@ -30,6 +31,7 @@ class PrecisionConfig:
             raise DomainError("max_terms must be >= 1")
         if self.target_abs_error <= 0:
             raise DomainError("target_abs_error must be > 0")
+        AccelerationMethod(self.method)
 
 
 # B_2 .. B_12 as exact rationals evaluated to double precision.
@@ -37,12 +39,12 @@ _B2J = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
         5.0 / 66.0, -691.0 / 2730.0)
 
 
-def zeta_oracle(s: int, cutoff: int = 20, corrections: int = 6) -> float:
+def zeta_oracle(s: int, cutoff: int = 20) -> float:
     """zeta(s) for integer s >= 2 via Euler-Maclaurin summation.
 
     Partial Dirichlet sum to `cutoff`, integral + midpoint terms, then
-    `corrections` Bernoulli correction terms.  Accurate to well below
-    1e-13 relative for the default parameters.
+    six Bernoulli correction terms.  Accurate to well below 1e-13
+    relative for the default cutoff.
     """
     if s < 2:
         raise DomainError(f"zeta_oracle needs s >= 2, got {s}")
@@ -53,20 +55,20 @@ def zeta_oracle(s: int, cutoff: int = 20, corrections: int = 6) -> float:
     # sum_j B_2j/(2j)! * rising(s, 2j-1) * n^(1-s-2j)
     rising = float(s)  # rising factorial s(s+1)...(s+2j-2)
     fact = 2.0         # (2j)!
-    for j in range(1, corrections + 1):
-        total += _B2J[j - 1] / fact * rising * n ** (1.0 - s - 2 * j)
+    for j, b2j in enumerate(_B2J, start=1):
+        total += b2j / fact * rising * n ** (1.0 - s - 2 * j)
         # extend rising to 2(j+1)-1 factors, fact to (2j+2)!
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         fact *= (2 * j + 1) * (2 * j + 2)
     return total
 
 
-def tail_power_sum(p: int, cutoff: int, corrections: int = 6) -> float:
+def tail_power_sum(p: int, cutoff: int) -> float:
     """sum_{s > cutoff} s^-p via Euler-Maclaurin, avoiding the
     cancellation of zeta(p) minus a partial sum.
 
-    The correction terms form an asymptotic series in the cutoff, so for
-    small cutoffs the leading terms are summed explicitly before the
+    The six correction terms form an asymptotic series in the cutoff, so
+    for small cutoffs the leading terms are summed explicitly before the
     corrections are applied at 20.
     """
     if p < 2:
@@ -76,8 +78,8 @@ def tail_power_sum(p: int, cutoff: int, corrections: int = 6) -> float:
     total += n ** (1.0 - p) / (p - 1.0) - 0.5 * n ** (-float(p))
     rising = float(p)
     fact = 2.0
-    for j in range(1, corrections + 1):
-        total += _B2J[j - 1] / fact * rising * n ** (1.0 - p - 2 * j)
+    for j, b2j in enumerate(_B2J, start=1):
+        total += b2j / fact * rising * n ** (1.0 - p - 2 * j)
         rising *= (p + 2 * j - 1) * (p + 2 * j)
         fact *= (2 * j + 1) * (2 * j + 2)
     return total

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, PoleError
 
 __all__ = [
-    "UnityRoots",
     "exp_log",
     "log_gamma",
     "gamma",
@@ -61,15 +59,8 @@ def exp_log(lg: complex) -> complex:
     return complex(r * math.cos(lg.imag), r * math.sin(lg.imag))
 
 
-@dataclass(frozen=True)
-class UnityRoots:
-    """All m-th roots of unity, roots[j] = exp(2*pi*i*j/m)."""
-
-    m: int
-    roots: tuple
-
-
-def roots_of_unity(m: int) -> UnityRoots:
+def roots_of_unity(m: int) -> tuple:
+    """All m-th roots of unity, as a tuple with [j] = exp(2*pi*i*j/m)."""
     if m < 2:
         raise DomainError(f"need m >= 2, got {m}")
     roots = []
@@ -80,7 +71,7 @@ def roots_of_unity(m: int) -> UnityRoots:
             roots.append((1 + 0j, 1j, -1 + 0j, -1j)[quarter])
         else:
             roots.append(cmath.exp(2j * math.pi * j / m))
-    return UnityRoots(m, tuple(roots))
+    return tuple(roots)
 
 
 def _near_nonpositive_integer(z: complex, tol: float = _POLE_TOL) -> bool:

@@ -4,8 +4,10 @@ Three independent evaluation routes are provided (truncated product
 with tail correction, gamma-function product, exp of a zeta power
 series), plus the partial-fraction coefficients of the product by two
 independent routes and the rearranged partial-fraction series.  The
-coefficients are real: the gamma closed form sums only the real parts
-of its log-gammas and takes the sign (-1)^n from the formula.
+coefficients are plain floats: the gamma closed form
+(`series_coefficient`) sums only the real parts of its log-gammas and
+takes the sign (-1)^n from the formula; `product_coefficient` forms the
+same number from a truncated product.
 """
 
 from __future__ import annotations
@@ -23,58 +25,37 @@ __all__ = [
     "TruncatedProduct",
     "GammaProduct",
     "ExpZetaSeries",
-    "SeriesCoefficient",
-    "ProductRoute",
-    "ClosedFormRoute",
     "unity_gamma_product",
     "series_coefficient",
+    "product_coefficient",
     "unity_product_pfd",
     "PfdSeriesValue",
 ]
 
 _POLE_DIST = 1e-8
+_N_FACTORS = 1000  # factors of the truncated-product route
+_MAX_POWERS = 200  # powers of z^m in the exp-zeta route
 
 
-@dataclass(frozen=True)
 class TruncatedProduct:
-    n_factors: int = 1000
+    """Route: prod_{n <= 1000} with a first-order tail correction."""
 
 
-@dataclass(frozen=True)
 class GammaProduct:
-    pass
+    """Route: prod_j Gamma(1 - w^j z) over the m-th roots of unity w^j."""
 
 
-@dataclass(frozen=True)
 class ExpZetaSeries:
-    max_powers: int = 200
-
-
-@dataclass(frozen=True)
-class ProductRoute:
-    n_factors: int
-
-
-@dataclass(frozen=True)
-class ClosedFormRoute:
-    pass
-
-
-@dataclass(frozen=True)
-class SeriesCoefficient:
-    """Partial-fraction coefficient of the product at the pole z = n."""
-
-    m: int
-    n: int
-    value: float
-    route: object
+    """Route: exp(sum_k zeta(mk) z^(mk)/k), for |z| <= 0.95."""
 
 
 def _check_pole_distance(m: int, z: complex):
-    # Poles sit at n * omega^{-j}; only |z| close to an integer matters.
-    r = abs(z)
-    k = round(r)
-    if k >= 1 and abs(z ** m - k ** m) <= _POLE_DIST * k ** m:
+    # Poles sit at k * omega^{-j}.  | |z/k|^m - 1 | <= |(z/k)^m - 1|, so
+    # (z/k)^m is formed only near |z| = k, where it cannot overflow.
+    k = round(abs(z))
+    if k < 1 or abs(m * math.log(abs(z) / k)) > 2.0 * _POLE_DIST:
+        return
+    if abs((z / k) ** m - 1.0) <= _POLE_DIST:
         raise PoleError(f"z = {z} within tolerance of a product pole")
 
 
@@ -91,18 +72,17 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
 
     if isinstance(route, GammaProduct):
         acc = 0j
-        for w in roots_of_unity(m).roots:
+        for w in roots_of_unity(m):
             acc += log_gamma(1.0 - w * z)
         return exp_log(acc)
 
     if isinstance(route, TruncatedProduct):
-        n_factors = route.n_factors
         log_prod = 0j
         # (z/n)^m, not z^m/n^m: the integer n^m overflows a float from m = 103.
-        for n in range(1, n_factors + 1):
+        for n in range(1, _N_FACTORS + 1):
             log_prod -= cmath.log(1.0 - (z / n) ** m)
         # First-order tail: exp(z^m * sum_{n>N} n^-m).
-        tail = z ** m * tail_power_sum(m, n_factors)
+        tail = z ** m * tail_power_sum(m, _N_FACTORS)
         return cmath.exp(log_prod + tail)
 
     if isinstance(route, ExpZetaSeries):
@@ -113,7 +93,7 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
         zm = z ** m
         p = zm
         s = 0j
-        for k in range(1, route.max_powers + 1):
+        for k in range(1, _MAX_POWERS + 1):
             inc = zeta_oracle(m * k) / k * p
             s += inc
             if abs(inc) < 1e-18:
@@ -139,50 +119,52 @@ def coefficient_log_parts(m: int, n: int):
         # Gamma(1 + n) cancels n! exactly.
         return 0.0, sign
     log_mag = 0.0
-    for w in roots_of_unity(m).roots[1:]:
+    for w in roots_of_unity(m)[1:]:
         log_mag += log_gamma(1.0 - w * n).real
     return log_mag - math.lgamma(n + 1.0), sign
 
 
-def series_coefficient(m: int, n: int, route=ClosedFormRoute()) -> SeriesCoefficient:
-    """The coefficient lambda_n, by truncated product or gamma closed form."""
+def series_coefficient(m: int, n: int) -> float:
+    """lambda_n, the product's coefficient at its pole z = n (closed form)."""
     if m < 2 or n < 1:
         raise DomainError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
-    if isinstance(route, ClosedFormRoute):
-        log_mag, sign = coefficient_log_parts(m, n)
-        return SeriesCoefficient(m, n, sign * math.exp(log_mag), route)
-    if isinstance(route, ProductRoute):
-        if route.n_factors < 4 * n:
-            raise DomainError("product route needs at least 4n factors")
-        # -(1/m) prod_{s != n} s^m/(s^m - n^m), in log space with sign tracking
-        log_mag = -math.log(m)
-        sign = -1
-        nm = float(n) ** m
-        for s in range(1, route.n_factors + 1):
-            if s == n:
-                continue
-            num = float(s) ** m
-            den = num - nm
-            log_mag += math.log(num) - math.log(abs(den))
-            if den < 0:
-                sign = -sign
-        # Tail prod_{s>N} s^m/(s^m - n^m) = exp(sum_k n^{mk}/k * sum_{s>N} s^{-mk});
-        # raw truncation at N = 8n would leave an O(n/N) relative error.
-        big_n = route.n_factors
-        for k in range(1, 400):
-            inc = float(n) ** (m * k) / k * tail_power_sum(m * k, big_n)
-            log_mag += inc
-            if inc < 1e-17:
-                break
-        return SeriesCoefficient(m, n, sign * math.exp(log_mag), route)
-    raise ValueError(f"unknown route {route!r}")
+    log_mag, sign = coefficient_log_parts(m, n)
+    return sign * math.exp(log_mag)
+
+
+def product_coefficient(m: int, n: int, n_factors: int) -> float:
+    """lambda_n from the truncated product over s = 1..n_factors, s != n,
+    with a tail correction; an independent check on `series_coefficient`."""
+    if m < 2 or n < 1:
+        raise DomainError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
+    if n_factors < 4 * n:
+        raise DomainError("product route needs at least 4n factors")
+    # -(1/m) prod_{s != n} s^m/(s^m - n^m), in log space with sign tracking
+    log_mag = -math.log(m)
+    sign = -1
+    nm = float(n) ** m
+    for s in range(1, n_factors + 1):
+        if s == n:
+            continue
+        num = float(s) ** m
+        den = num - nm
+        log_mag += math.log(num) - math.log(abs(den))
+        if den < 0:
+            sign = -sign
+    # Tail prod_{s>N} s^m/(s^m - n^m) = exp(sum_k n^{mk}/k * sum_{s>N} s^{-mk});
+    # raw truncation at N = 8n would leave an O(n/N) relative error.
+    for k in range(1, 400):
+        inc = float(n) ** (m * k) / k * tail_power_sum(m * k, n_factors)
+        log_mag += inc
+        if inc < 1e-17:
+            break
+    return sign * math.exp(log_mag)
 
 
 @dataclass(frozen=True)
 class PfdSeriesValue:
     value: complex
     tail_bound: float
-    terms_used: int
 
 
 def unity_product_pfd(m: int, z: complex, n_terms: int) -> PfdSeriesValue:
@@ -196,15 +178,15 @@ def unity_product_pfd(m: int, z: complex, n_terms: int) -> PfdSeriesValue:
         raise DomainError("need n_terms >= 1")
     z = complex(z)
     if z == 0:
-        return PfdSeriesValue(1.0 + 0j, 0.0, n_terms)
+        return PfdSeriesValue(1.0 + 0j, 0.0)
     _check_pole_distance(m, z)
     zm = z ** m
     s = 1.0 + 0j
     for n in range(1, n_terms + 1):
-        lam = series_coefficient(m, n).value
+        lam = series_coefficient(m, n)
         s += m * lam * zm / (zm - float(n) ** m)
     r = abs(z) ** m
     # sum_{n>N} 1/(n^m - r) <= sum_{n>N} n^-m / (1 - r/(N+1)^m)
     tail_sum = tail_power_sum(m, n_terms) / (1.0 - r / float(n_terms + 1) ** m)
     tail = m * r * tail_sum
-    return PfdSeriesValue(s, tail, n_terms)
+    return PfdSeriesValue(s, tail)

@@ -10,11 +10,9 @@ from dataclasses import dataclass
 
 from . import (
     AccelerationMethod,
-    ClosedFormRoute,
     ExpZetaSeries,
     GammaProduct,
     PrecisionConfig,
-    ProductRoute,
     TruncatedProduct,
     Zeta3Variant,
     gamma,
@@ -30,8 +28,10 @@ from . import (
     modulus_product,
     pfd_coefficients,
     pfd_residual,
+    product_coefficient,
     q_poly,
     p_poly,
+    roots_of_unity,
     series_coefficient,
     shifted_integer_sequence,
     sine_term,
@@ -75,7 +75,7 @@ def _pole_free_grid(count=20, radius=0.9, seed=7):
     return pts
 
 
-def _suite_oracle(tol):
+def _suite_oracle():
     res = []
     closed = {2: math.pi ** 2 / 6, 4: math.pi ** 4 / 90,
               6: math.pi ** 6 / 945, 8: math.pi ** 8 / 9450}
@@ -93,7 +93,7 @@ def _suite_oracle(tol):
     return res
 
 
-def _suite_pfd(tol):
+def _suite_pfd():
     res = []
     rng = random.Random(2024)
     worst_resid = 0.0
@@ -132,14 +132,14 @@ def _suite_pfd(tol):
     return res
 
 
-def _suite_phi(tol):
+def _suite_phi():
     res = []
     grid = _pole_free_grid()
     worst = 0.0
     for m in (2, 3, 4, 5):
         for z in grid:
             a = unity_gamma_product(m, z, GammaProduct())
-            b = unity_gamma_product(m, z, TruncatedProduct(1000))
+            b = unity_gamma_product(m, z, TruncatedProduct())
             c = unity_gamma_product(m, z, ExpZetaSeries())
             scale = abs(a)
             worst = max(worst, abs(a - b) / scale, abs(a - c) / scale,
@@ -154,18 +154,18 @@ def _suite_phi(tol):
     worst = 0.0
     for m in (2, 3, 4, 5):
         for n in range(1, 16):
-            cf = series_coefficient(m, n, ClosedFormRoute()).value
-            pr = series_coefficient(m, n, ProductRoute(8 * n)).value
+            cf = series_coefficient(m, n)
+            pr = product_coefficient(m, n, 8 * n)
             worst = max(worst, abs(pr - cf) / abs(cf))
     _check(res, "phi", "coefficient route agreement", worst, 1e-6)
     ok = True
     for m in (3, 4, 5):
         for n in range(1, 31):
-            v = series_coefficient(m, n).value
+            v = series_coefficient(m, n)
             if abs(v) >= 1.0 or (v > 0) != (n % 2 == 0):
                 ok = False
     res.append(CheckResult("phi", "coefficient sign and |.| < 1 bound", ok))
-    worst = max(abs(series_coefficient(2, n).value - (-1.0) ** n)
+    worst = max(abs(series_coefficient(2, n) - (-1.0) ** n)
                 for n in range(1, 31))
     _check(res, "phi", "m=2 coefficients are (-1)^n", worst, 1e-14)
     worst = 0.0
@@ -185,7 +185,7 @@ def _suite_phi(tol):
     return res
 
 
-def _suite_zeta(tol):
+def _suite_zeta():
     res = []
     worst = max(abs(zeta_term(2, n).value - 2.0 * (-1.0) ** (n - 1) / n ** 2)
                 / (2.0 / n ** 2) for n in range(1, 101))
@@ -205,7 +205,7 @@ def _suite_zeta(tol):
     for m, ref in targets.items():
         rep = zeta_via_series(m, PrecisionConfig(max_terms=64))
         worst = max(worst, abs(rep.value - ref))
-    _check(res, "zeta", "series reproduces zeta(2..6)", worst, min(tol, 1e-8))
+    _check(res, "zeta", "series reproduces zeta(2..6)", worst, 1e-8)
     ok = True
     for m in (2, 3, 4):
         ref = targets[m]
@@ -220,8 +220,7 @@ def _suite_zeta(tol):
     res.append(CheckResult("zeta", "log-space terms finite to n=200", finite))
     worst = 0.0
     for m in (3, 4, 5):
-        from .special import roots_of_unity
-        roots = roots_of_unity(m).roots
+        roots = roots_of_unity(m)
         for n in range(1, 21):
             direct = m * (-1.0) ** (n - 1)
             for w in roots[1:]:
@@ -233,7 +232,7 @@ def _suite_zeta(tol):
     return res
 
 
-def _suite_gamma(tol):
+def _suite_gamma():
     res = []
     z_grid = (0.1, 0.3, 0.45, 0.2j)
     ok = True
@@ -285,7 +284,7 @@ def _suite_gamma(tol):
     return res
 
 
-def _suite_zeta3(tol):
+def _suite_zeta3():
     res = []
     z3 = zeta_oracle(3)
     rep = zeta3_series(Zeta3Variant.HYPERBOLIC, PrecisionConfig(max_terms=12))
@@ -336,13 +335,13 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, tolerance: float = 1e-8):
+def run_suite(name: str):
     """Run one named suite (or 'all'); returns a list of CheckResult."""
     if name == "all":
         out = []
         for suite in SUITE_NAMES:
-            out.extend(_SUITES[suite](tolerance))
+            out.extend(_SUITES[suite]())
         return out
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return _SUITES[name](tolerance)
+    return _SUITES[name]()

@@ -18,7 +18,7 @@ import math
 from enum import Enum
 
 from .accel import ConvergenceReport, SeriesTermTrace, sum_alternating
-from .errors import DivergenceError, DomainError
+from .errors import DomainError
 from .oracle import PrecisionConfig
 from .special import log_cosh, log_sin, log_sinh
 
@@ -28,8 +28,6 @@ __all__ = [
     "q_poly",
     "sine_term",
     "hyperbolic_term",
-    "beta_series_term",
-    "inner_double_sum",
     "zeta3_series",
 ]
 
@@ -115,21 +113,19 @@ def beta_series_term(n: int) -> float:
 _INNER_LOG_CAP = math.log(1e8)
 
 
-def inner_double_sum(n: int, k_terms: int | None = None,
-                     regularized: bool = True):
+def inner_double_sum(n: int):
     """Euler-transformed inner k-sum of the double series,
 
-        sum_k (-1)^(n+k) * 36 * C(n+k-1, k) / ((n+2k)(3n^2 + (n+2k)^2)).
+        sum_k (-1)^(n+k) * 36 * C(n+k-1, k) / ((n+2k)(3n^2 + (n+2k)^2)),
 
-    The terms grow like k^(n-4); for n >= 4 the classical sum diverges
-    and `regularized` must stay on.  Returns (value, noise) where noise
-    estimates the cancellation error left by differencing the large
-    binomial terms in double precision.
+    over k < max(28, 2n + 12).  The terms grow like k^(n-4); for n >= 4
+    the classical sum diverges and only the Euler transform gives it a
+    value.  Returns (value, noise) where noise estimates the cancellation
+    error left by differencing the large binomial terms in double precision.
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    if k_terms is None:
-        k_terms = max(28, 2 * n + 12)
+    k_terms = max(28, 2 * n + 12)
     lg_n = math.lgamma(float(n))
     terms = []
     base_sign = 1.0 if n % 2 == 0 else -1.0
@@ -145,17 +141,13 @@ def inner_double_sum(n: int, k_terms: int | None = None,
         sign = base_sign if k % 2 == 0 else -base_sign
         terms.append(sign * math.exp(log_mag))
     noise = math.exp(peak) * len(terms) * 2.2e-16
-    if not regularized and n >= 4:
-        raise DivergenceError(
-            f"inner k-series diverges classically for n = {n}"
-        )
-    method = "euler" if regularized else "none"
-    return sum_alternating(terms, method).value, noise
+    return sum_alternating(terms, "euler").value, noise
 
 
 def zeta3_series(variant: Zeta3Variant,
                  config: PrecisionConfig | None = None) -> ConvergenceReport:
-    """Evaluate zeta(3) by the requested variant series."""
+    """Evaluate zeta(3) by the requested variant series.  Only the sine
+    and hyperbolic forms fill `trace`; the beta form sums two series apart."""
     config = config or PrecisionConfig(max_terms=40)
 
     if variant is Zeta3Variant.BETA:
@@ -175,20 +167,12 @@ def zeta3_series(variant: Zeta3Variant,
             total_noise += noise
         rep_beta = sum_alternating(beta_terms, config.method)
         rep_inner = sum_alternating(inner_terms, config.method)
-        report = ConvergenceReport(
+        return ConvergenceReport(
             rep_beta.value + rep_inner.value,
             len(inner_terms),
             rep_beta.error_estimate + rep_inner.error_estimate + total_noise,
             rep_beta.method,
         )
-        if config.trace_enabled:
-            report.trace = [
-                SeriesTermTrace(n + 1, b + i,
-                                math.log(abs(b + i)) if b + i else -math.inf,
-                                1 if b + i > 0 else -1)
-                for n, (b, i) in enumerate(zip(beta_terms, inner_terms))
-            ]
-        return report
 
     if variant is Zeta3Variant.SINE:
         traces = [sine_term(n) for n in range(1, config.max_terms + 1)]

@@ -181,6 +181,14 @@ def test_gamma_overflow_reaches_the_user_as_domain_error():
     assert "exceeds double range" in proc.stderr
 
 
+def test_phi_large_m_outside_unit_disk_underflows_to_zero():
+    # The pole check must not form z^m: 2.5^1100 overflows a float.
+    proc = run_cli("phi", "1100", "--z", "2.5,0", "--route", "gamma")
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = json_records(proc)
+    assert rec["value_re"] == 0.0 and rec["value_im"] == 0.0
+
+
 def test_verify_all_passes_quickly():
     start = time.perf_counter()
     proc = run_cli("verify", "--suite", "all")

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
+import omega_zeta.gamma_pfd as gamma_pfd_module
 from omega_zeta import (
     AccelerationMethod,
     DivergenceError,
@@ -49,6 +50,22 @@ def test_summation_identity_shifted():
     assert abs(lhs.real + trigamma(1.3 + 10000.0) - trigamma(1.3)) < 1e-10
     _, rhs = summation_identity_check(seq, 256, EULER)
     assert abs(rhs.real - trigamma(1.3)) < 1e-6
+
+
+def test_identity_check_default_refuses_growing_terms():
+    # Without a method the right side is a plain sum, which a = 2.6 makes
+    # grow like n^(2a-4).
+    with pytest.raises(DivergenceError):
+        summation_identity_check(shifted_integer_sequence(2.6), 64)
+
+
+def test_unknown_method_is_a_domain_error_before_any_term(monkeypatch):
+    def no_terms(_):
+        raise AssertionError("term built before the method was checked")
+
+    monkeypatch.setattr(gamma_pfd_module, "log_gamma", no_terms)
+    with pytest.raises(DomainError):
+        gamma_pfd_series(1.0, 0.3, 16, "bogus")
 
 
 def test_modulus_product_cases():

@@ -127,9 +127,9 @@ def test_beta_values():
 
 
 def test_roots_of_unity_exact_cases():
-    assert roots_of_unity(2).roots == (1, -1)
-    assert roots_of_unity(4).roots == (1, 1j, -1, -1j)
-    r3 = roots_of_unity(3).roots
+    assert roots_of_unity(2) == (1, -1)
+    assert roots_of_unity(4) == (1, 1j, -1, -1j)
+    r3 = roots_of_unity(3)
     assert abs(r3[1] - complex(-0.5, math.sqrt(3) / 2)) < 1e-15
     assert abs(r3[2] - complex(-0.5, -math.sqrt(3) / 2)) < 1e-15
     with pytest.raises(DomainError):
@@ -138,7 +138,7 @@ def test_roots_of_unity_exact_cases():
 
 @pytest.mark.parametrize("m", list(range(2, 65)))
 def test_roots_of_unity_invariants(m):
-    roots = roots_of_unity(m).roots
+    roots = roots_of_unity(m)
     assert all(abs(abs(w) - 1) < 1e-15 for w in roots)
     assert abs(sum(roots)) < 1e-14
     for j in (0, 1, m // 2, m - 1):

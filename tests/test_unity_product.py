@@ -6,20 +6,19 @@ import mpmath as mp
 import pytest
 
 from omega_zeta import (
-    ClosedFormRoute,
     DomainError,
     ExpZetaSeries,
     GammaProduct,
     PoleError,
-    ProductRoute,
     TruncatedProduct,
+    product_coefficient,
     series_coefficient,
     unity_gamma_product,
     unity_product_pfd,
 )
 from omega_zeta.unity_product import coefficient_log_parts
 
-ROUTES = (TruncatedProduct(1000), GammaProduct(), ExpZetaSeries())
+ROUTES = (TruncatedProduct(), GammaProduct(), ExpZetaSeries())
 
 
 def test_value_at_half_is_pi_over_two():
@@ -65,30 +64,40 @@ def test_pole_and_domain_errors():
         unity_gamma_product(1, 0.5, GammaProduct())
 
 
+@pytest.mark.parametrize("m,z", [(500, 3 * (1 + 1e-13)), (3, 1 + 1e-10j),
+                                 (2, 1 + 1e-12j)])
+def test_pole_check_still_fires_near_the_poles(m, z):
+    for route in ROUTES:
+        with pytest.raises(PoleError):
+            unity_gamma_product(m, z, route)
+    with pytest.raises(PoleError):
+        unity_product_pfd(m, z, 10)
+
+
 def test_coefficients_m2_are_unit():
     for n in range(1, 40):
-        assert series_coefficient(2, n).value == (-1.0) ** n
+        assert series_coefficient(2, n) == (-1.0) ** n
 
 
 def test_coefficient_routes_agree():
     for m in (2, 3, 4, 5):
         for n in (1, 2, 5, 9, 15):
-            cf = series_coefficient(m, n, ClosedFormRoute()).value
-            pr = series_coefficient(m, n, ProductRoute(8 * n)).value
+            cf = series_coefficient(m, n)
+            pr = product_coefficient(m, n, 8 * n)
             assert abs(pr - cf) < 1e-6 * abs(cf)
 
 
 def test_coefficient_sign_and_bound():
     for m in (3, 4, 5):
         for n in range(1, 31):
-            v = series_coefficient(m, n).value
+            v = series_coefficient(m, n)
             assert abs(v) < 1.0
             assert (v > 0) == (n % 2 == 0)
 
 
 def test_product_route_needs_enough_factors():
     with pytest.raises(DomainError):
-        series_coefficient(3, 10, ProductRoute(20))
+        product_coefficient(3, 10, 20)
 
 
 def test_pfd_series_against_closed_form():
@@ -135,5 +144,5 @@ def test_truncated_product_beyond_float_range_of_n_to_the_m(m):
     # n^m as an integer no longer converts to a float from m = 103 on.
     for z in (0.5, 0.99, 0.5 + 0.3j, 0.95j, cmath.rect(1.2, 0.3)):
         ref = unity_gamma_product(m, z, GammaProduct())
-        v = unity_gamma_product(m, z, TruncatedProduct(1000))
+        v = unity_gamma_product(m, z, TruncatedProduct())
         assert abs(v - ref) <= 1e-9 * abs(ref)

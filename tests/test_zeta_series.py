@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
+import omega_zeta.zeta_series as zeta_series_module
 from omega_zeta import (
     DomainError,
     PrecisionConfig,
@@ -50,7 +51,7 @@ def test_log_space_no_overflow():
 
 def test_log_space_matches_direct_small_n():
     for m in (3, 4, 5):
-        roots = roots_of_unity(m).roots
+        roots = roots_of_unity(m)
         for n in range(1, 21):
             direct = m * (-1.0) ** (n - 1)
             for w in roots[1:]:
@@ -76,6 +77,15 @@ def test_monotone_improvement():
                 for k in (8, 16, 32, 64)]
         for a, b in zip(errs, errs[1:]):
             assert b <= a + 5e-15
+
+
+def test_unknown_method_is_a_domain_error_before_any_term(monkeypatch):
+    def no_terms(m, n):
+        raise AssertionError("term built before the method was checked")
+
+    monkeypatch.setattr(zeta_series_module, "zeta_term", no_terms)
+    with pytest.raises(DomainError):
+        zeta_via_series(3, PrecisionConfig(method="bogus"))
 
 
 def test_trace_and_domain():
