@@ -20,6 +20,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
+from typing import Iterable, Iterator
 
 from .errors import DivergenceError, DomainError, SignPatternError
 
@@ -65,6 +66,26 @@ class ConvergenceReport:
     error_estimate: float
     method: AccelerationMethod
     trace: list = field(default_factory=list)
+
+
+def running_sums(start: float, steps: Iterable[float]) -> Iterator[float]:
+    """start, then start plus each prefix of `steps`, Kahan-compensated.
+
+    The series modules carry a term's log-magnitude as a running sum of
+    log-ratio steps.  Summed plainly, a log-magnitude near 30 rounds by
+    about 2e-15 at each step, which after 1024 steps reaches 1e-13
+    relative in the terms; compensated, the error stays near one
+    rounding of the final sum.
+    """
+    total = start
+    comp = 0.0
+    yield total
+    for step in steps:
+        y = step - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        yield total
 
 
 def euler_average(values):

@@ -34,7 +34,6 @@ __all__ = [
 
 _POLE_DIST = 1e-8
 _N_FACTORS = 1000  # factors of the truncated-product route
-_MAX_POWERS = 200  # powers of z^m in the exp-zeta route
 
 
 class TruncatedProduct:
@@ -78,11 +77,23 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
 
     if isinstance(route, TruncatedProduct):
         log_prod = 0j
+        # w = (z/n)^m overflows for n <= |z| e^(-700/m).  There
+        # log(1 - w) = log w + log(1/w - 1) up to 2 pi i, which exp ignores.
+        n_over = min(int(abs(z) * math.exp(-700.0 / m)), _N_FACTORS)
+        for n in range(1, n_over + 1):
+            log_w = m * cmath.log(z / n)
+            log_prod -= log_w + cmath.log(cmath.exp(-log_w) - 1.0)
         # (z/n)^m, not z^m/n^m: the integer n^m overflows a float from m = 103.
-        for n in range(1, _N_FACTORS + 1):
+        for n in range(n_over + 1, _N_FACTORS + 1):
             log_prod -= cmath.log(1.0 - (z / n) ** m)
         # First-order tail: exp(z^m * sum_{n>N} n^-m).
-        tail = z ** m * tail_power_sum(m, _N_FACTORS)
+        power_sum = tail_power_sum(m, _N_FACTORS)
+        if n_over == 0:
+            tail = z ** m * power_sum
+        elif power_sum == 0.0:
+            tail = 0j
+        else:
+            tail = exp_log(m * cmath.log(z) + math.log(power_sum))
         return cmath.exp(log_prod + tail)
 
     if isinstance(route, ExpZetaSeries):
@@ -93,7 +104,9 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
         zm = z ** m
         p = zm
         s = 0j
-        for k in range(1, _MAX_POWERS + 1):
+        # |inc| <= zeta(2) |z|^(mk) < 2 * 0.95^(mk), below 1e-18 by this k.
+        max_powers = math.ceil(math.log(5e-19) / (m * math.log(0.95)))
+        for k in range(1, max_powers + 1):
             inc = zeta_oracle(m * k) / k * p
             s += inc
             if abs(inc) < 1e-18:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .accel import ConvergenceReport, SeriesTermTrace, sum_alternating
+from .accel import ConvergenceReport, SeriesTermTrace, running_sums, sum_alternating
 from .errors import DomainError
 from .oracle import PrecisionConfig
 from .special import log_cosh, log_sin, log_sinh
@@ -122,17 +122,19 @@ def inner_double_sum(n: int):
     the classical sum diverges and only the Euler transform gives it a
     value.  Returns (value, noise) where noise estimates the cancellation
     error left by differencing the large binomial terms in double precision.
+    log C(n+k-1, k) starts at 0 and adds log1p((n-1)/(k+1)) per step in a
+    compensated running sum, so no lgamma is taken.
     """
     if n < 1:
         raise DomainError("need n >= 1")
     k_terms = max(28, 2 * n + 12)
-    lg_n = math.lgamma(float(n))
     terms = []
     base_sign = 1.0 if n % 2 == 0 else -1.0
     peak = 0.0
-    for k in range(k_terms):
-        log_mag = (math.log(36.0) + math.lgamma(float(n + k))
-                   - math.lgamma(k + 1.0) - lg_n
+    log_binoms = running_sums(0.0, (math.log1p((n - 1) / (k + 1))
+                                    for k in range(k_terms - 1)))
+    for k, log_binom in enumerate(log_binoms):
+        log_mag = (math.log(36.0) + log_binom
                    - math.log(n + 2.0 * k)
                    - math.log(3.0 * n * n + (n + 2.0 * k) ** 2))
         if log_mag > _INNER_LOG_CAP and k > n:

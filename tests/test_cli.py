@@ -189,6 +189,14 @@ def test_phi_large_m_outside_unit_disk_underflows_to_zero():
     assert rec["value_re"] == 0.0 and rec["value_im"] == 0.0
 
 
+def test_phi_product_route_large_m_outside_unit_disk_underflows_to_zero():
+    # (z/n)^m overflows for n <= |z|; those factors are formed in log space.
+    proc = run_cli("phi", "1100", "--z", "2.5,0", "--route", "product")
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = json_records(proc)
+    assert rec["value_re"] == 0.0 and rec["value_im"] == 0.0
+
+
 def test_verify_all_passes_quickly():
     start = time.perf_counter()
     proc = run_cli("verify", "--suite", "all")

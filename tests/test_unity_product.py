@@ -146,3 +146,24 @@ def test_truncated_product_beyond_float_range_of_n_to_the_m(m):
         ref = unity_gamma_product(m, z, GammaProduct())
         v = unity_gamma_product(m, z, TruncatedProduct())
         assert abs(v - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("r", [1.898, 1.92])
+def test_truncated_product_with_huge_first_factor(r):
+    # z^1100 is e^705 at |z| = 1.898 and overflows at 1.92, where the
+    # product is still 2.3e-312, not 0.
+    z = cmath.rect(r, 0.2)
+    ref = unity_gamma_product(1100, z, GammaProduct())
+    v = unity_gamma_product(1100, z, TruncatedProduct())
+    assert ref != 0
+    assert abs(v - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("z", [0.95, -0.95, 0.95j])
+def test_exp_zeta_route_converges_at_the_edge_of_its_domain(z):
+    # At m = 2 the powers z^(2k) shrink only by 0.9025 each; a cap of 200
+    # powers left a tail of 6e-11.
+    v = unity_gamma_product(2, z, ExpZetaSeries())
+    with mp.workdps(40):
+        ref = mp.pi * mp.mpc(z) / mp.sin(mp.pi * mp.mpc(z))
+    assert float(abs(v - ref) / abs(ref)) <= 1e-13
