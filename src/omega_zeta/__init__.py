@@ -1,7 +1,7 @@
 """Series representations of Riemann zeta values from gamma products at
 roots of unity, with the supporting partial-fraction machinery."""
 
-from .accel import AccelerationMethod, ConvergenceReport, SeriesTermTrace, sum_alternating
+from .accel import AccelerationMethod, ConvergenceReport, sum_alternating
 from .errors import (
     DegenerateNodesError,
     DivergenceError,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Iterator
@@ -26,12 +26,10 @@ from .errors import DivergenceError, DomainError, SignPatternError
 
 __all__ = [
     "AccelerationMethod",
-    "SeriesTermTrace",
     "ConvergenceReport",
     "sum_alternating",
 ]
 
-_EPS = 2.220446049250313e-16
 _U = 2.0 ** -53  # unit roundoff of round to nearest
 _TINY = 2.0 ** -1074  # smallest subnormal: twice the error of an underflow
 
@@ -47,16 +45,6 @@ class AccelerationMethod(Enum):
         raise DomainError(f"unknown method {value!r}; use one of {names}")
 
 
-@dataclass(frozen=True)
-class SeriesTermTrace:
-    """One summand: index, signed value, and its log-space form."""
-
-    n: int
-    value: float
-    log_mag: float
-    sign: int
-
-
 @dataclass
 class ConvergenceReport:
     """Result of a series evaluation."""
@@ -65,7 +53,6 @@ class ConvergenceReport:
     terms_used: int
     error_estimate: float
     method: AccelerationMethod
-    trace: list = field(default_factory=list)
 
 
 def running_sums(start: float, steps: Iterable[float]) -> Iterator[float]:
@@ -187,7 +174,7 @@ def _cvz(terms):
         s += c * magnitudes[k]
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
     a_max = max(magnitudes)
-    return signs[0] * (s / d), max(3.0 * a_max / d, 8.0 * _EPS * a_max)
+    return signs[0] * (s / d), max(3.0 * a_max / d, 16.0 * _U * a_max)
 
 
 def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceReport:

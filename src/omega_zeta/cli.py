@@ -83,8 +83,8 @@ def _emit(records, fmt: str):
 
 def _cmd_zeta(args) -> int:
     started = time.perf_counter()
-    rep = zeta_via_series(args.m, PrecisionConfig(
-        max_terms=args.terms, method=args.method, trace_enabled=False))
+    rep = zeta_via_series(args.m, PrecisionConfig(max_terms=args.terms,
+                                                  method=args.method))
     rec = _record("zeta", {"m": args.m, "terms": args.terms},
                   rep.value, rep.error_estimate, rep.terms_used,
                   args.method, started)
@@ -137,9 +137,8 @@ def _cmd_gamma_pfd(args) -> int:
 
 def _cmd_zeta3(args) -> int:
     started = time.perf_counter()
-    variant = Zeta3Variant(args.variant)
     config = PrecisionConfig(max_terms=args.terms, method=args.method)
-    rep = zeta3_series(variant, config)
+    rep = zeta3_series(args.variant, config)
     rec = _record("zeta3", {"variant": args.variant, "terms": args.terms},
                   rep.value, rep.error_estimate, rep.terms_used, args.method,
                   started)
@@ -151,7 +150,7 @@ def _cmd_converge(args) -> int:
     if args.m < 2:
         raise DomainError(f"zeta argument must be >= 2, got {args.m}")
     config = PrecisionConfig(max_terms=args.max_terms, method=args.method)
-    terms = [zeta_term(args.m, n).value for n in range(1, config.max_terms + 1)]
+    terms = [zeta_term(args.m, n) for n in range(1, config.max_terms + 1)]
     ref = zeta_oracle(args.m)
     print("n,term,partial_sum,accelerated,abs_error_vs_oracle")
     for i, (t, partial) in enumerate(zip(terms, accumulate(terms)), start=1):
@@ -182,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     methods = [m.value for m in AccelerationMethod]
 
-    def common(p, default_format="json"):
+    def common(p):
         p.add_argument("--format", choices=("json", "csv", "text"),
-                       default=default_format)
+                       default="json")
 
     p = sub.add_parser("zeta", help="evaluate the series for zeta(m)")
     p.add_argument("m", type=int)

@@ -149,7 +149,7 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
         raise DomainError(f"need finite a and z, got a = {a}, z = {z}")
     if a == round(a) and a <= 0:
         raise PoleError(f"Gamma(a)^2 pole at a = {a}")
-    if 2.0 * a == round(2.0 * a) and a < 0:
+    if a < 0 and 2.0 * a == round(2.0 * a):
         raise DomainError(f"need 2a not a non-positive integer (Gamma(2a+k) "
                           f"has a pole), got a = {a}")
     if n_terms < 1:
@@ -204,6 +204,8 @@ def inverse_square_series(q: float, n_terms: int,
     log1p of the ratio t_n/t_{n-1} to a compensated running sum.
     """
     method = AccelerationMethod(method)
+    if not math.isfinite(q):
+        raise DomainError(f"need finite q, got q = {q}")
     if q <= -1:
         raise DomainError(f"need q > -1, got {q}")
     if n_terms < 1:

@@ -19,7 +19,12 @@ __all__ = ["PrecisionConfig", "zeta_oracle", "tail_power_sum", "known_constant"]
 
 @dataclass
 class PrecisionConfig:
-    """Truncation and acceleration settings for series evaluations."""
+    """Truncation and acceleration settings for series evaluations.
+
+    Only `max_terms` and `method` are read.  `target_abs_error` and
+    `trace_enabled` stay because the benchmark's `perfbench/worker.py`
+    passes them by keyword.
+    """
 
     max_terms: int = 64
     target_abs_error: float = 1e-12
@@ -39,6 +44,20 @@ _B2J = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
         5.0 / 66.0, -691.0 / 2730.0)
 
 
+def _add_bernoulli_corrections(total: float, s: int, n: int) -> float:
+    """total plus sum_j B_2j/(2j)! * rising(s, 2j-1) * n^(1-s-2j), j = 1..6,
+    added one term at a time: the Euler-Maclaurin corrections for
+    sum_k k^-s at the cutoff n."""
+    rising = float(s)  # rising factorial s(s+1)...(s+2j-2)
+    fact = 2.0         # (2j)!
+    for j, b2j in enumerate(_B2J, start=1):
+        total += b2j / fact * rising * n ** (1.0 - s - 2 * j)
+        # extend rising to 2(j+1)-1 factors, fact to (2j+2)!
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        fact *= (2 * j + 1) * (2 * j + 2)
+    return total
+
+
 def zeta_oracle(s: int, cutoff: int = 20) -> float:
     """zeta(s) for integer s >= 2 via Euler-Maclaurin summation.
 
@@ -52,15 +71,7 @@ def zeta_oracle(s: int, cutoff: int = 20) -> float:
     total = sum(k ** (-float(s)) for k in range(1, n))
     total += n ** (1.0 - s) / (s - 1.0)
     total += 0.5 * n ** (-float(s))
-    # sum_j B_2j/(2j)! * rising(s, 2j-1) * n^(1-s-2j)
-    rising = float(s)  # rising factorial s(s+1)...(s+2j-2)
-    fact = 2.0         # (2j)!
-    for j, b2j in enumerate(_B2J, start=1):
-        total += b2j / fact * rising * n ** (1.0 - s - 2 * j)
-        # extend rising to 2(j+1)-1 factors, fact to (2j+2)!
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
-        fact *= (2 * j + 1) * (2 * j + 2)
-    return total
+    return _add_bernoulli_corrections(total, s, n)
 
 
 def tail_power_sum(p: int, cutoff: int) -> float:
@@ -76,13 +87,7 @@ def tail_power_sum(p: int, cutoff: int) -> float:
     n = max(cutoff, 20)
     total = sum(k ** (-float(p)) for k in range(cutoff + 1, n + 1))
     total += n ** (1.0 - p) / (p - 1.0) - 0.5 * n ** (-float(p))
-    rising = float(p)
-    fact = 2.0
-    for j, b2j in enumerate(_B2J, start=1):
-        total += b2j / fact * rising * n ** (1.0 - p - 2 * j)
-        rising *= (p + 2 * j - 1) * (p + 2 * j)
-        fact *= (2 * j + 1) * (2 * j + 2)
-    return total
+    return _add_bernoulli_corrections(total, p, n)
 
 
 _CONSTANTS = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .accel import ConvergenceReport, SeriesTermTrace, running_sums, sum_alternating
+from .accel import ConvergenceReport, running_sums, sum_alternating
 from .errors import DomainError
 from .oracle import PrecisionConfig
 from .special import log_cosh, log_sin, log_sinh
@@ -40,6 +40,11 @@ class Zeta3Variant(Enum):
     HYPERBOLIC = "hyperbolic"
     BETA = "beta"
 
+    @classmethod
+    def _missing_(cls, value):
+        names = ", ".join(v.value for v in cls)
+        raise DomainError(f"unknown variant {value!r}; use one of {names}")
+
 
 def p_poly(d: int) -> float:
     """log P(d), P(d) = prod_{k=1}^{d} ((k - 1/2)^2 + (3/4)(2d - 1)^2)."""
@@ -57,8 +62,8 @@ def q_poly(d: int) -> float:
     return sum(math.log(k * k + c) for k in range(1, d + 1))
 
 
-def sine_term(n: int) -> SeriesTermTrace:
-    """n-th term of the sine-form series, entirely in log-space.
+def sine_term(n: int) -> float:
+    """n-th term of the sine-form series, accumulated in log-space.
 
     The term equals 3 Gamma(1 - w n) Gamma(1 - w^2 n) / (n! n^3) * (-1)^(n-1)
     with w = exp(2 pi i / 3), and the gamma pair is a conjugate pair, so its
@@ -72,11 +77,10 @@ def sine_term(n: int) -> SeriesTermTrace:
         log_mag += math.log(abs(k + w))
     log_mag -= math.lgamma(n + 1.0) + 2.0 * math.log(n)
     log_mag -= log_sin(math.pi * w).real
-    sign = 1 if n % 2 else -1
-    return SeriesTermTrace(n, sign * math.exp(log_mag), log_mag, sign)
+    return (1 if n % 2 else -1) * math.exp(log_mag)
 
 
-def hyperbolic_term(n: int) -> SeriesTermTrace:
+def hyperbolic_term(n: int) -> float:
     """n-th term of the interleaved hyperbolic-form series.
 
     Odd n = 2d-1 gives the (positive) P(d)/cosh term, even n = 2d the
@@ -96,8 +100,7 @@ def hyperbolic_term(n: int) -> SeriesTermTrace:
                    - log_sinh(_SQRT3 * math.pi * d)
                    - math.lgamma(2.0 * d + 1.0) - 2.0 * math.log(d))
         sign = -1
-    value = sign * math.exp(log_mag)
-    return SeriesTermTrace(n, value, log_mag, sign)
+    return sign * math.exp(log_mag)
 
 
 def beta_series_term(n: int) -> float:
@@ -146,10 +149,15 @@ def inner_double_sum(n: int):
     return sum_alternating(terms, "euler").value, noise
 
 
-def zeta3_series(variant: Zeta3Variant,
+def zeta3_series(variant: Zeta3Variant | str,
                  config: PrecisionConfig | None = None) -> ConvergenceReport:
-    """Evaluate zeta(3) by the requested variant series.  Only the sine
-    and hyperbolic forms fill `trace`; the beta form sums two series apart."""
+    """Evaluate zeta(3) by the requested variant series.
+
+    `variant` is a Zeta3Variant or its string value.  The sine and
+    hyperbolic forms sum their terms as one series; the beta form sums
+    its beta and inner parts apart and adds the results.
+    """
+    variant = Zeta3Variant(variant)
     config = config or PrecisionConfig(max_terms=40)
 
     if variant is Zeta3Variant.BETA:
@@ -177,14 +185,9 @@ def zeta3_series(variant: Zeta3Variant,
         )
 
     if variant is Zeta3Variant.SINE:
-        traces = [sine_term(n) for n in range(1, config.max_terms + 1)]
-    elif variant is Zeta3Variant.HYPERBOLIC:
+        terms = [sine_term(n) for n in range(1, config.max_terms + 1)]
+    else:
         # max_terms counts index pairs d; each contributes an odd and an
         # even interleaved term.
-        traces = [hyperbolic_term(n) for n in range(1, 2 * config.max_terms + 1)]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    report = sum_alternating([t.value for t in traces], config.method)
-    if config.trace_enabled:
-        report.trace = traces
-    return report
+        terms = [hyperbolic_term(n) for n in range(1, 2 * config.max_terms + 1)]
+    return sum_alternating(terms, config.method)

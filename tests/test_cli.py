@@ -181,6 +181,13 @@ def test_gamma_overflow_reaches_the_user_as_domain_error():
     assert "exceeds double range" in proc.stderr
 
 
+def test_gamma_pfd_huge_a_is_not_an_internal_message():
+    proc = run_cli("gamma-pfd", "--a", "1e308", "--z=0.1,0")
+    assert proc.returncode == 3
+    assert "exceeds double range" in proc.stderr
+    assert "cannot convert" not in proc.stderr
+
+
 def test_phi_large_m_outside_unit_disk_underflows_to_zero():
     # The pole check must not form z^m: 2.5^1100 overflows a float.
     proc = run_cli("phi", "1100", "--z", "2.5,0", "--route", "gamma")

@@ -114,6 +114,18 @@ def test_series_rejects_non_finite_input(a, z):
         gamma_pfd_series(a, z, 16, EULER)
 
 
+def test_series_huge_a_overflows_readably():
+    # 2a is inf, so the pole test on 2a must not round it.
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        gamma_pfd_series(1e308, 0.1, 16, EULER)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_inverse_square_rejects_non_finite_q(q):
+    with pytest.raises(DomainError, match="need finite q"):
+        inverse_square_series(q, 16, EULER)
+
+
 @pytest.mark.parametrize("a,z", [(0.3, 0.45), (0.3, 1.7), (0.6, 2.2),
                                  (1.2, 3.9), (-0.3, 0.45), (-2.7, 1.1)])
 def test_series_cvz_when_z_exceeds_a(a, z):

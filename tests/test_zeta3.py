@@ -1,9 +1,12 @@
 import math
+import sys
 
 import mpmath as mp
 import pytest
 
+import omega_zeta.zeta3 as zeta3_module
 from omega_zeta import (
+    DomainError,
     PrecisionConfig,
     Zeta3Variant,
     hyperbolic_term,
@@ -47,30 +50,38 @@ def test_pq_poly_vs_multiprecision(d):
 
 def test_sine_terms_match_series_terms():
     for n in range(1, 21):
-        ref = zeta_term(3, n).value
-        assert abs(sine_term(n).value - ref) <= 1e-9 * abs(ref)
+        ref = zeta_term(3, n)
+        assert abs(sine_term(n) - ref) <= 1e-9 * abs(ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 300, 1000])
 def test_sine_term_sign_and_magnitude(n):
-    # The term is 3 Gamma(1 - w n) Gamma(1 - w^2 n) / (n! n^3) * (-1)^(n-1).
+    # The term is 3 Gamma(1 - w n) Gamma(1 - w^2 n) / (n! n^3) * (-1)^(n-1),
+    # which the sine form, the hyperbolic form and zeta_term(3, n) all
+    # return as a float.  At n = 1000 it is below the double range and
+    # only its sign survives.
     w = mp.exp(2j * mp.pi / 3)
-    ref = (mp.log(3) + mp.re(mp.loggamma(1 - w * n)) + mp.re(mp.loggamma(1 - w * w * n))
-           - mp.loggamma(n + 1) - 3 * mp.log(n))
-    term = sine_term(n)
-    assert term.sign == (-1) ** (n - 1)
-    assert abs(term.log_mag - ref) <= 1e-13 * max(1.0, abs(ref))
+    log_ref = (mp.log(3) + mp.re(mp.loggamma(1 - w * n))
+               + mp.re(mp.loggamma(1 - w * w * n))
+               - mp.loggamma(n + 1) - 3 * mp.log(n))
+    ref = (-1) ** (n - 1) * mp.exp(log_ref)
+    for term in (sine_term(n), hyperbolic_term(n), zeta_term(3, n)):
+        assert isinstance(term, float)
+        assert math.copysign(1.0, term) == (-1) ** (n - 1)
+        if abs(ref) >= sys.float_info.min:
+            assert (abs((term - ref) / ref)
+                    <= 1e-13 * max(1.0, abs(float(log_ref))))
 
 
 def test_hyperbolic_terms_match_series_terms():
     for n in range(1, 21):
-        ref = zeta_term(3, n).value
-        assert abs(hyperbolic_term(n).value - ref) <= 1e-9 * abs(ref)
+        ref = zeta_term(3, n)
+        assert abs(hyperbolic_term(n) - ref) <= 1e-9 * abs(ref)
 
 
 def test_hyperbolic_first_odd_term():
     ref = 3 * math.pi / math.cosh(SQRT3 * math.pi / 2)
-    assert abs(hyperbolic_term(1).value - ref) < 1e-13 * ref
+    assert abs(hyperbolic_term(1) - ref) < 1e-13 * ref
 
 
 def test_gamma_pair_identities():
@@ -100,25 +111,36 @@ def test_beta_sum():
     assert abs(rep.value - ZETA3) < 1e-5
 
 
-def test_beta_form_has_no_trace():
-    # Its beta and inner parts are summed apart, so no per-term list exists.
-    rep = zeta3_series(Zeta3Variant.BETA, PrecisionConfig(max_terms=12))
-    assert rep.trace == []
+@pytest.mark.parametrize("variant", list(Zeta3Variant), ids=lambda v: v.value)
+def test_variant_name_gives_the_same_report(variant):
+    config = PrecisionConfig(max_terms=12)
+    assert zeta3_series(variant.value, config) == zeta3_series(variant, config)
+
+
+def test_unknown_variant_is_a_domain_error_before_any_term(monkeypatch):
+    def no_terms(n):
+        raise AssertionError("term built before the variant was checked")
+
+    for name in ("sine_term", "hyperbolic_term", "beta_series_term",
+                 "inner_double_sum"):
+        monkeypatch.setattr(zeta3_module, name, no_terms)
+    with pytest.raises(DomainError):
+        zeta3_series("bogus")
 
 
 def test_inner_double_sum_matches_term_decomposition():
     # the regularized inner sum plus the Beta part reassembles the
     # series term; classically convergent for n <= 3, regularized above
     for n in range(1, 16):
-        ref = zeta_term(3, n).value - beta_series_term(n)
+        ref = zeta_term(3, n) - beta_series_term(n)
         value, noise = inner_double_sum(n)
         assert abs(value - ref) < max(1e-9, 10 * noise)
 
 
 def test_no_overflow_to_200():
     for n in range(1, 201):
-        assert math.isfinite(sine_term(n).log_mag)
-        assert math.isfinite(hyperbolic_term(n).log_mag)
+        assert math.isfinite(sine_term(n))
+        assert math.isfinite(hyperbolic_term(n))
 
 
 def test_variants_within_own_estimates():
