@@ -12,20 +12,14 @@ from .errors import (
     UnknownConstantError,
 )
 from .gamma_pfd import (
-    SymmetricSequence,
     gamma_pair,
     gamma_pfd_series,
-    integer_sequence,
     inverse_square_series,
     modulus_product,
-    shifted_integer_sequence,
-    summation_identity_check,
 )
 from .oracle import PrecisionConfig, known_constant, tail_power_sum, zeta_oracle
 from .pfd import PfdResult, pfd_coefficients, pfd_residual
 from .special import (
-    beta,
-    digamma,
     exp_log,
     gamma,
     log_cosh,

@@ -197,7 +197,7 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
         if real:
             terms = [t.real for t in terms]
     if not terms:
-        raise ValueError("empty term list")
+        raise DomainError("empty term list")
     n = len(terms)
 
     if method is AccelerationMethod.NO_ACCELERATION:

@@ -1,8 +1,8 @@
 """Partial-fraction machinery for Gamma(a+z)Gamma(a-z).
 
-Contains the summation identity for symmetric sequences, the product
-form of Gamma(a+z)Gamma(a-z)/Gamma(a)^2, the partial-fraction series
-for Gamma(a+z)Gamma(a-z), and the derived series for sum 1/(q+n)^2.
+Contains the product form of Gamma(a+z)Gamma(a-z)/Gamma(a)^2, the
+partial-fraction series for Gamma(a+z)Gamma(a-z), and the derived
+series for sum 1/(q+n)^2.
 
 The partial-fraction series converges classically only while its terms
 (which scale like k^(2a-3)) decay; outside that regime term growth is
@@ -14,18 +14,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 from .accel import AccelerationMethod, ConvergenceReport, running_sums, sum_alternating
 from .errors import DomainError, PoleError
 from .special import exp_log, log_gamma, trigamma
 
 __all__ = [
-    "SymmetricSequence",
-    "integer_sequence",
-    "shifted_integer_sequence",
-    "summation_identity_check",
     "gamma_pair",
     "modulus_product",
     "gamma_pfd_series",
@@ -33,63 +27,6 @@ __all__ = [
 ]
 
 _POLE_DIST = 1e-8
-
-
-@dataclass(frozen=True)
-class SymmetricSequence:
-    """A sequence a_n with sum 1/|a_n|^2 < inf, together with F'(-a_n)
-    for the canonical even-zero product F(z) = z * prod(1 - (z/a_n)^2).
-    """
-
-    term: Callable[[int], complex]
-    fprime_at: Callable[[int], complex]
-
-
-def integer_sequence() -> SymmetricSequence:
-    """a_n = n, for which F(z) = sin(pi z)/pi and F'(-n) = (-1)^n."""
-    return SymmetricSequence(
-        term=lambda n: float(n),
-        fprime_at=lambda n: -1.0 if n % 2 else 1.0,
-    )
-
-
-def shifted_integer_sequence(a: float) -> SymmetricSequence:
-    """a_n = a - 1 + n with the closed form
-    F'(-a_n) = Gamma(a)^2 * (-1)^n * (a+n-1) * (n-1)! / Gamma(2a+n-1).
-    """
-    if a <= 0:
-        raise DomainError(f"need a > 0, got {a}")
-    two_lg_a = 2.0 * math.lgamma(a)
-
-    def fprime(n: int) -> float:
-        log_mag = (two_lg_a + math.log(a + n - 1.0) + math.lgamma(float(n))
-                   - math.lgamma(2.0 * a + n - 1.0))
-        sign = -1.0 if n % 2 else 1.0
-        return sign * math.exp(log_mag)
-
-    return SymmetricSequence(
-        term=lambda n: a - 1.0 + n,
-        fprime_at=fprime,
-    )
-
-
-def summation_identity_check(seq: SymmetricSequence, n_terms: int,
-                             rhs_method: AccelerationMethod | str = "none"):
-    """Truncated left and right sides of sum 1/a_n^2 = sum -2/(F'(-a_n) a_n^2).
-
-    The right side, whose terms alternate and may decay slowly or grow,
-    is summed by `sum_alternating`, so the default "none" refuses
-    growing terms with DivergenceError.
-    """
-    if n_terms < 1:
-        raise DomainError("need n_terms >= 1")
-    lhs = 0j
-    rhs_terms = []
-    for n in range(1, n_terms + 1):
-        an = complex(seq.term(n))
-        lhs += 1.0 / (an * an)
-        rhs_terms.append(-2.0 / (complex(seq.fprime_at(n)) * an * an))
-    return lhs, complex(sum_alternating(rhs_terms, rhs_method).value)
 
 
 def gamma_pair(a: complex, z: complex) -> complex:
@@ -211,14 +148,20 @@ def inverse_square_series(q: float, n_terms: int,
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")
     # Ratio t_{n+1}/t_n = (2q+n+1)/n * ((q+n)/(q+n+1))^3, with log1p once
-    # (2q+1)/n >= -1/2 and log|ratio| directly before.
-    n0 = math.ceil(-2.0 - 4.0 * q)
+    # (2q+1)/n >= -1/2, that is n >= n0, and log|ratio| directly before.
+    n0 = -2.0 - 4.0 * q
     steps = (math.log1p((2.0 * q + 1.0) / n) - 3.0 * math.log1p(1.0 / (q + n))
              if n >= n0 else
              math.log((2.0 * q + n + 1.0) / n * ((q + n) / (q + n + 1.0)) ** 3)
              for n in range(1, n_terms))
-    log_t1 = (math.lgamma(2.0 * q + 2.0) - 2.0 * math.lgamma(q + 1.0)
-              - 3.0 * math.log(q + 1.0))
-    terms = [(2.0 if n % 2 else -2.0) * math.exp(log_mag)
-             for n, log_mag in enumerate(running_sums(log_t1, steps), 1)]
+    # From q near 469 on a term, and from q near 1e305 on lgamma itself,
+    # leaves the double range.
+    try:
+        log_t1 = (math.lgamma(2.0 * q + 2.0) - 2.0 * math.lgamma(q + 1.0)
+                  - 3.0 * math.log(q + 1.0))
+        terms = [(2.0 if n % 2 else -2.0) * math.exp(log_mag)
+                 for n, log_mag in enumerate(running_sums(log_t1, steps), 1)]
+    except OverflowError:
+        raise OverflowError(f"log-magnitude of the terms at q = {q:.3g} "
+                            "exceeds double range") from None
     return sum_alternating(terms, method)

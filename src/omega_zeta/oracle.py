@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .accel import AccelerationMethod
 from .errors import DomainError, UnknownConstantError
+from .special import _BERNOULLI
 
 __all__ = ["PrecisionConfig", "zeta_oracle", "tail_power_sum", "known_constant"]
 
@@ -39,18 +40,13 @@ class PrecisionConfig:
         AccelerationMethod(self.method)
 
 
-# B_2 .. B_12 as exact rationals evaluated to double precision.
-_B2J = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
-        5.0 / 66.0, -691.0 / 2730.0)
-
-
 def _add_bernoulli_corrections(total: float, s: int, n: int) -> float:
     """total plus sum_j B_2j/(2j)! * rising(s, 2j-1) * n^(1-s-2j), j = 1..6,
     added one term at a time: the Euler-Maclaurin corrections for
     sum_k k^-s at the cutoff n."""
     rising = float(s)  # rising factorial s(s+1)...(s+2j-2)
     fact = 2.0         # (2j)!
-    for j, b2j in enumerate(_B2J, start=1):
+    for j, b2j in enumerate(_BERNOULLI, start=1):
         total += b2j / fact * rising * n ** (1.0 - s - 2 * j)
         # extend rising to 2(j+1)-1 factors, fact to (2j+2)!
         rising *= (s + 2 * j - 1) * (s + 2 * j)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateNodesError, PoleError
+from .errors import DegenerateNodesError, DomainError, PoleError
 
 __all__ = ["PfdResult", "pfd_coefficients", "pfd_residual"]
 
@@ -31,7 +31,7 @@ def pfd_coefficients(a) -> PfdResult:
     nodes = tuple(complex(v) for v in a)
     n = len(nodes)
     if n < 1:
-        raise ValueError("need at least one node")
+        raise DomainError("need at least one node")
     if n == 1:
         return PfdResult(nodes, (1.0 + 0j,), 1.0)
     min_sep = float("inf")

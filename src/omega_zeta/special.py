@@ -1,5 +1,5 @@
-"""Complex special functions: log-gamma, gamma, digamma, trigamma, beta,
-roots of unity, and log-space trigonometric/hyperbolic helpers.
+"""Complex special functions: log-gamma, gamma, trigamma, roots of
+unity, and log-space trigonometric/hyperbolic helpers.
 
 Everything works in double precision.  Products of gamma values whose
 magnitudes exceed the floating-point range are formed as sums of plain
@@ -19,9 +19,7 @@ __all__ = [
     "exp_log",
     "log_gamma",
     "gamma",
-    "digamma",
     "trigamma",
-    "beta",
     "roots_of_unity",
     "log_sin",
     "log_sinh",
@@ -110,30 +108,10 @@ def gamma(z: complex) -> complex:
     return exp_log(log_gamma(z))
 
 
+# B_2 .. B_12 in double precision, for trigamma's asymptotic series and
+# the oracle's Euler-Maclaurin corrections.
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
-              5.0 / 66.0, -691.0 / 2730.0)  # B_{2n} for n = 1..6
-_BERN_OVER_2N = tuple(b / (2 * n) for n, b in enumerate(_BERNOULLI, start=1))
-
-
-def digamma(z: complex) -> complex:
-    """psi(z) for complex z away from the poles 0, -1, -2, ..."""
-    z = complex(z)
-    if _near_nonpositive_integer(z):
-        raise PoleError(f"digamma pole at z = {z}")
-    acc = 0j
-    while z.real < 10.0:
-        acc -= 1.0 / z
-        z += 1.0
-    inv2 = 1.0 / (z * z)
-    s = cmath.log(z) - 0.5 / z
-    p = inv2
-    for b in _BERN_OVER_2N:
-        s -= b * p
-        p *= inv2
-    result = acc + s
-    if abs(result.imag) == 0.0:
-        return complex(result.real, 0.0)
-    return result
+              5.0 / 66.0, -691.0 / 2730.0)
 
 
 def trigamma(x: float) -> float:
@@ -152,11 +130,6 @@ def trigamma(x: float) -> float:
         s += b * p
         p *= inv2
     return acc + s
-
-
-def beta(a: complex, b: complex) -> complex:
-    """B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), assembled in log-space."""
-    return exp_log(log_gamma(a) + log_gamma(b) - log_gamma(complex(a) + complex(b)))
 
 
 def log_sin(z: complex) -> complex:

@@ -114,7 +114,7 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
             p *= zm
         return cmath.exp(s)
 
-    raise ValueError(f"unknown route {route!r}")
+    raise DomainError(f"unknown route {route!r}")
 
 
 @lru_cache(maxsize=None)

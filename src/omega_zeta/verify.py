@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from . import (
     AccelerationMethod,
+    DomainError,
     ExpZetaSeries,
     GammaProduct,
     PrecisionConfig,
@@ -19,7 +20,6 @@ from . import (
     gamma_pair,
     gamma_pfd_series,
     hyperbolic_term,
-    integer_sequence,
     inverse_square_series,
     known_constant,
     log_cosh,
@@ -33,9 +33,7 @@ from . import (
     p_poly,
     roots_of_unity,
     series_coefficient,
-    shifted_integer_sequence,
     sine_term,
-    summation_identity_check,
     trigamma,
     unity_gamma_product,
     unity_product_pfd,
@@ -269,17 +267,25 @@ def _suite_gamma():
         == gamma_pfd_series(a, -z, 64, AccelerationMethod.EULER_TRANSFORM).value
         for a in (0.5, 2.0) for z in (0.3, 0.2j))
     res.append(CheckResult("gamma", "evenness in z (bit identical)", even))
-    lhs, rhs = summation_identity_check(integer_sequence(), 64,
-                                        AccelerationMethod.CHEBYSHEV_ALTERNATING)
-    worst = max(abs(rhs.real - math.pi ** 2 / 6),
-                abs(lhs.real - (math.pi ** 2 / 6 - trigamma(65.0))))
+    # sum 1/a_n^2 = -2 sum 1/(F'(-a_n) a_n^2): for a_n = a-1+n the right
+    # side is the psi'(a) series of inverse_square_series(a-1), and for
+    # a_n = n that series at q = 0.
+    lhs = 0.0
+    for n in range(1, 65):
+        an = float(n)
+        lhs += 1.0 / (an * an)
+    rhs = inverse_square_series(0.0, 64, AccelerationMethod.CHEBYSHEV_ALTERNATING)
+    worst = max(abs(rhs.value - math.pi ** 2 / 6),
+                abs(lhs - (math.pi ** 2 / 6 - trigamma(65.0))))
     _check(res, "gamma", "summation identity at a_n = n", worst, 1e-9)
-    seq = shifted_integer_sequence(1.3)
-    lhs, _ = summation_identity_check(seq, 10000)
-    lhs_total = lhs.real + trigamma(1.3 + 10000.0)
-    _, rhs = summation_identity_check(seq, 256,
-                                      AccelerationMethod.EULER_TRANSFORM)
-    worst = max(abs(lhs_total - trigamma(1.3)), abs(rhs.real - trigamma(1.3)))
+    a = 1.3
+    lhs = 0.0
+    for n in range(1, 10001):
+        an = a - 1.0 + n
+        lhs += 1.0 / (an * an)
+    rhs = inverse_square_series(a - 1.0, 256, AccelerationMethod.EULER_TRANSFORM)
+    worst = max(abs(lhs + trigamma(a + 10000.0) - trigamma(a)),
+                abs(rhs.value - trigamma(a)))
     _check(res, "gamma", "summation identity at a_n = a-1+n", worst, 1e-6)
     return res
 
@@ -343,5 +349,5 @@ def run_suite(name: str):
             out.extend(_SUITES[suite]())
         return out
     if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}")
+        raise DomainError(f"unknown suite {name!r}")
     return _SUITES[name]()

@@ -9,9 +9,7 @@ from omega_zeta import (
     AccelerationMethod,
     DivergenceError,
     SignPatternError,
-    shifted_integer_sequence,
     sum_alternating,
-    summation_identity_check,
 )
 from omega_zeta.accel import _binomial_mean, _binomial_weights, euler_average
 
@@ -105,12 +103,6 @@ def test_plain_summation_refuses_growing_terms():
     terms = [(-1.0) ** n * (n + 1) for n in range(40)]
     with pytest.raises(DivergenceError):
         sum_alternating(terms, "none")
-
-
-def test_identity_check_refuses_growing_plain_sum():
-    # The right-side terms grow like n^(2a-4); their raw sum is meaningless.
-    with pytest.raises(DivergenceError):
-        summation_identity_check(shifted_integer_sequence(2.6), 64, NONE)
 
 
 def euler_triangle(values):

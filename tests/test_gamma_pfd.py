@@ -11,11 +11,8 @@ from omega_zeta import (
     gamma,
     gamma_pair,
     gamma_pfd_series,
-    integer_sequence,
     inverse_square_series,
     modulus_product,
-    shifted_integer_sequence,
-    summation_identity_check,
     trigamma,
 )
 
@@ -29,34 +26,6 @@ def test_gamma_pair_values():
     a = 2.3
     assert abs(gamma_pair(a, 0.0) - gamma(a) ** 2) < 1e-12 * abs(gamma(a)) ** 2
     assert abs(gamma_pair(0.5, 0.25) - math.pi * math.sqrt(2)) < 1e-12
-
-
-def test_summation_identity_integers():
-    lhs, rhs = summation_identity_check(integer_sequence(), 64, CVZ)
-    assert abs(rhs.real - math.pi ** 2 / 6) < 1e-9
-    assert abs(lhs.real + trigamma(65.0) - math.pi ** 2 / 6) < 1e-13
-
-
-def test_summation_identity_shifted_reduces_to_integers():
-    seq = shifted_integer_sequence(1.0)
-    for n in (1, 2, 5, 10):
-        assert seq.term(n) == float(n)
-        assert abs(seq.fprime_at(n) - (-1.0) ** n) < 1e-13
-
-
-def test_summation_identity_shifted():
-    seq = shifted_integer_sequence(1.3)
-    lhs, _ = summation_identity_check(seq, 10000)
-    assert abs(lhs.real + trigamma(1.3 + 10000.0) - trigamma(1.3)) < 1e-10
-    _, rhs = summation_identity_check(seq, 256, EULER)
-    assert abs(rhs.real - trigamma(1.3)) < 1e-6
-
-
-def test_identity_check_default_refuses_growing_terms():
-    # Without a method the right side is a plain sum, which a = 2.6 makes
-    # grow like n^(2a-4).
-    with pytest.raises(DivergenceError):
-        summation_identity_check(shifted_integer_sequence(2.6), 64)
 
 
 def test_unknown_method_is_a_domain_error_before_any_term(monkeypatch):
@@ -120,6 +89,14 @@ def test_series_huge_a_overflows_readably():
         gamma_pfd_series(1e308, 0.1, 16, EULER)
 
 
+@pytest.mark.parametrize("q", [500.0, 1e20, 1e308])
+def test_inverse_square_huge_q_overflows_readably(q):
+    # A term's exp overflows from q near 469, lgamma itself near 1e305,
+    # and -4q is -inf at 1e308.
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        inverse_square_series(q, 16, EULER)
+
+
 @pytest.mark.parametrize("q", [math.nan, math.inf])
 def test_inverse_square_rejects_non_finite_q(q):
     with pytest.raises(DomainError, match="need finite q"):
@@ -178,10 +155,19 @@ def test_inverse_square_collapse_at_zero():
     assert abs(rep.value - math.pi ** 2 / 6) < 1e-5
 
 
-@pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.5])
-def test_inverse_square_vs_trigamma(q):
-    rep = inverse_square_series(q, 64, EULER)
-    assert abs(rep.value - trigamma(q + 1.0)) < 1e-6
+@pytest.mark.parametrize("q,n_terms,method,ref,tol", [
+    pytest.param(0.0, 64, EULER, trigamma(1.0), 1e-6, id="0.0"),
+    pytest.param(0.5, 64, EULER, trigamma(1.5), 1e-6, id="0.5"),
+    pytest.param(1.0, 64, EULER, trigamma(2.0), 1e-6, id="1.0"),
+    pytest.param(2.5, 64, EULER, trigamma(3.5), 1e-6, id="2.5"),
+    # The right side of sum 1/a_n^2 = -2 sum 1/(F'(-a_n) a_n^2) for a_n = n
+    # and for a_n = a-1+n at a = 1.3.
+    pytest.param(0.0, 64, CVZ, math.pi ** 2 / 6, 1e-9, id="0.0-cvz"),
+    pytest.param(0.3, 256, EULER, trigamma(1.3), 1e-6, id="0.3-256"),
+])
+def test_inverse_square_vs_trigamma(q, n_terms, method, ref, tol):
+    rep = inverse_square_series(q, n_terms, method)
+    assert abs(rep.value - ref) < tol
 
 
 def test_inverse_square_divergence_detected():

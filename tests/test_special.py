@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from omega_zeta import (
     DomainError,
     PoleError,
-    beta,
-    digamma,
     exp_log,
     gamma,
     log_cosh,
@@ -23,8 +21,6 @@ from omega_zeta import (
 )
 
 mp.mp.dps = 30
-
-EULER_GAMMA = 0.5772156649015328606
 
 
 def _rel(a, b):
@@ -98,15 +94,6 @@ def test_exp_log_gamma_consistency():
         assert _rel(exp_log(lg), gamma(z)) < 1e-13
 
 
-def test_digamma_values():
-    assert abs(digamma(1.0).real + EULER_GAMMA) < 1e-12
-    assert abs(digamma(2.0).real - (1 - EULER_GAMMA)) < 1e-12
-    assert abs(digamma(0.5).real - (-EULER_GAMMA - 2 * math.log(2))) < 1e-12
-    assert _rel(digamma(2 + 3j), complex(mp.digamma(2 + 3j))) < 1e-12
-    with pytest.raises(PoleError):
-        digamma(-4.0)
-
-
 def test_trigamma_values():
     assert abs(trigamma(1.0) - math.pi ** 2 / 6) < 1e-13
     assert abs(trigamma(2.0) - (math.pi ** 2 / 6 - 1)) < 1e-13
@@ -120,10 +107,15 @@ def test_trigamma_recurrence(x):
     assert abs(trigamma(x) - trigamma(x + 1) - 1 / x ** 2) < 1e-12 / x ** 2
 
 
-def test_beta_values():
-    assert _rel(beta(0.5, 0.5), math.pi) < 1e-13
-    assert _rel(beta(1.0, 1.0), 1.0) < 1e-14
-    assert _rel(beta(3.0, 4.0), 1.0 / 60.0) < 1e-13
+@pytest.mark.parametrize("x,n_terms,tol", [(1.0, 64, 1e-13), (1.3, 10000, 1e-10)])
+def test_trigamma_partial_sum_plus_tail(x, n_terms, tol):
+    # The left side of sum 1/a_n^2 = -2 sum 1/(F'(-a_n) a_n^2) for
+    # a_n = x-1+n: its first terms plus the tail psi'(x+N) give psi'(x).
+    partial = 0.0
+    for n in range(1, n_terms + 1):
+        an = x - 1.0 + n
+        partial += 1.0 / (an * an)
+    assert abs(partial + trigamma(x + n_terms) - trigamma(x)) < tol
 
 
 def test_roots_of_unity_exact_cases():
