@@ -9,7 +9,6 @@ from .errors import (
     OmegaZetaError,
     PoleError,
     SignPatternError,
-    UnknownConstantError,
 )
 from .gamma_pfd import (
     gamma_pair,
@@ -17,7 +16,7 @@ from .gamma_pfd import (
     inverse_square_series,
     modulus_product,
 )
-from .oracle import PrecisionConfig, known_constant, tail_power_sum, zeta_oracle
+from .oracle import PrecisionConfig, tail_power_sum, zeta_oracle
 from .pfd import PfdResult, pfd_coefficients, pfd_residual
 from .special import (
     exp_log,
@@ -32,7 +31,6 @@ from .special import (
 from .unity_product import (
     ExpZetaSeries,
     GammaProduct,
-    PfdSeriesValue,
     TruncatedProduct,
     product_coefficient,
     series_coefficient,

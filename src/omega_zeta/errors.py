@@ -23,7 +23,3 @@ class SignPatternError(OmegaZetaError):
 
 class DivergenceError(OmegaZetaError):
     """Unaccelerated summation requested for a series whose terms grow."""
-
-
-class UnknownConstantError(OmegaZetaError):
-    """Requested named constant is not in the table."""

@@ -13,6 +13,7 @@ annihilates the polynomial growth by finite differencing.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from .accel import AccelerationMethod, ConvergenceReport, running_sums, sum_alternating
@@ -55,6 +56,24 @@ def modulus_product(a: float, z: complex, n_factors: int) -> complex:
     return cmath.exp(log_prod + tail)
 
 
+def _within_double_range(series):
+    """`series`, with every way it leaves the double range (lgamma or exp
+    while the terms are built, CVZ's weight, an inf or nan sum) ended in
+    one readable OverflowError."""
+    @functools.wraps(series)
+    def checked(*args, **kwargs):
+        try:
+            report = series(*args, **kwargs)
+            if cmath.isfinite(report.value) and math.isfinite(report.error_estimate):
+                return report
+        except OverflowError:
+            pass
+        raise OverflowError(f"{series.__name__}: a term, a weight or the sum "
+                            "exceeds double range")
+    return checked
+
+
+@_within_double_range
 def gamma_pfd_series(a: float, z: complex, n_terms: int,
                      method: AccelerationMethod | str) -> ConvergenceReport:
     """Partial-fraction series for Gamma(a+z)Gamma(a-z):
@@ -132,6 +151,7 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     return report
 
 
+@_within_double_range
 def inverse_square_series(q: float, n_terms: int,
                           method: AccelerationMethod | str) -> ConvergenceReport:
     """The series -2 sum_n (-1)^n Gamma(2q+n+1)/(Gamma(q+1)^2 (n-1)! (q+n)^3),
@@ -154,14 +174,10 @@ def inverse_square_series(q: float, n_terms: int,
              if n >= n0 else
              math.log((2.0 * q + n + 1.0) / n * ((q + n) / (q + n + 1.0)) ** 3)
              for n in range(1, n_terms))
-    # From q near 469 on a term, and from q near 1e305 on lgamma itself,
-    # leaves the double range.
-    try:
-        log_t1 = (math.lgamma(2.0 * q + 2.0) - 2.0 * math.lgamma(q + 1.0)
-                  - 3.0 * math.log(q + 1.0))
-        terms = [(2.0 if n % 2 else -2.0) * math.exp(log_mag)
-                 for n, log_mag in enumerate(running_sums(log_t1, steps), 1)]
-    except OverflowError:
-        raise OverflowError(f"log-magnitude of the terms at q = {q:.3g} "
-                            "exceeds double range") from None
+    # With 16 terms the CVZ sum leaves the double range from q near 454,
+    # a term from 469, and lgamma itself from 1e305.
+    log_t1 = (math.lgamma(2.0 * q + 2.0) - 2.0 * math.lgamma(q + 1.0)
+              - 3.0 * math.log(q + 1.0))
+    terms = [(2.0 if n % 2 else -2.0) * math.exp(log_mag)
+             for n, log_mag in enumerate(running_sums(log_t1, steps), 1)]
     return sum_alternating(terms, method)

@@ -8,14 +8,13 @@ cross-checks against it are not circular.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .accel import AccelerationMethod
-from .errors import DomainError, UnknownConstantError
+from .errors import DomainError
 from .special import _BERNOULLI
 
-__all__ = ["PrecisionConfig", "zeta_oracle", "tail_power_sum", "known_constant"]
+__all__ = ["PrecisionConfig", "zeta_oracle", "tail_power_sum"]
 
 
 @dataclass
@@ -85,19 +84,3 @@ def tail_power_sum(p: int, cutoff: int) -> float:
     total += n ** (1.0 - p) / (p - 1.0) - 0.5 * n ** (-float(p))
     return _add_bernoulli_corrections(total, p, n)
 
-
-_CONSTANTS = {
-    "pi": math.pi,
-    "euler_gamma": 0.5772156649015328606,
-    "zeta2": math.pi ** 2 / 6.0,
-    "zeta3": 1.2020569031595942854,
-    "zeta4": math.pi ** 4 / 90.0,
-    "zeta6": math.pi ** 6 / 945.0,
-}
-
-
-def known_constant(name: str) -> float:
-    try:
-        return _CONSTANTS[name]
-    except KeyError:
-        raise UnknownConstantError(f"unknown constant {name!r}") from None

@@ -1,22 +1,27 @@
 """The infinite product prod_{n>=1} n^m/(n^m - z^m) and its expansions.
 
-Three independent evaluation routes are provided (truncated product
-with tail correction, gamma-function product, exp of a zeta power
-series), plus the partial-fraction coefficients of the product by two
-independent routes and the rearranged partial-fraction series.  The
-coefficients are plain floats: the gamma closed form
-(`series_coefficient`) sums only the real parts of its log-gammas and
-takes the sign (-1)^n from the formula; `product_coefficient` forms the
-same number from a truncated product.
+Three independent evaluation routes are provided (truncated product,
+gamma-function product, exp of a zeta power series), plus the
+partial-fraction coefficients of the product by two independent routes
+and the rearranged partial-fraction series.  The coefficients are plain
+floats: the gamma closed form (`series_coefficient`) sums only the real
+parts of its log-gammas and takes the sign (-1)^n from the formula.
+
+One truncated product, `_log_truncated_product`, with the full tail
+sum_k x^(mk)/k sum_{s>N} s^(-mk), serves the `TruncatedProduct` route and
+the residue lambda_n = -(1/m) prod_{s != n} 1/(1 - (n/s)^m) of
+`product_coefficient`.  `ExpZetaSeries` is that tail at N = 0, but keeps
+its own sum from `zeta_oracle`, so it shares no code with the route it
+checks.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from .accel import AccelerationMethod, ConvergenceReport
 from .errors import DomainError, PoleError
 from .oracle import tail_power_sum, zeta_oracle
 from .special import exp_log, log_gamma, roots_of_unity
@@ -29,7 +34,6 @@ __all__ = [
     "series_coefficient",
     "product_coefficient",
     "unity_product_pfd",
-    "PfdSeriesValue",
 ]
 
 _POLE_DIST = 1e-8
@@ -37,7 +41,7 @@ _N_FACTORS = 1000  # factors of the truncated-product route
 
 
 class TruncatedProduct:
-    """Route: prod_{n <= 1000} with a first-order tail correction."""
+    """Route: prod_{n <= 1000} times its power-sum tail, for |z| < 1001."""
 
 
 class GammaProduct:
@@ -58,6 +62,50 @@ def _check_pole_distance(m: int, z: complex):
         raise PoleError(f"z = {z} within tolerance of a product pole")
 
 
+def _log_truncated_product(m: int, x: complex, n_factors: int,
+                           skip: int = 0) -> complex:
+    """A logarithm of prod_{s >= 1, s != skip} 1/(1 - (x/s)^m): the factors
+    s <= N = n_factors and the power-sum tail.  `skip` is 0 or the pole
+    s = x that a residue leaves out.  The tail converges for |x| < N + 1;
+    where it cannot reach double precision in 400 powers, DomainError."""
+    if abs(x) >= n_factors + 1:
+        raise DomainError(f"a product of {n_factors} factors needs "
+                          f"|z| < {n_factors + 1}, got |z| = {abs(x):.4g}")
+    log_prod = 0j
+    # w = (x/s)^m overflows for s <= |x| e^(-700/m).  There
+    # log(1 - w) = log w + log(1/w - 1) up to 2 pi i, which exp ignores.
+    n_over = int(abs(x) * math.exp(-700.0 / m))
+    for s in range(1, n_over + 1):
+        log_w = m * cmath.log(x / s)
+        log_prod -= log_w + cmath.log(cmath.exp(-log_w) - 1.0)
+    # (x/s)^m, not x^m/s^m: s^m overflows a float from m = 103.  The
+    # factors below a skipped pole (skip = x > n_over) have logs up to
+    # m log x; summed apart, the many small ones above it keep their digits.
+    head = 0j
+    for s in range(n_over + 1, skip):
+        head -= cmath.log(1.0 - (x / s) ** m)
+    for s in range(max(n_over, skip) + 1, n_factors + 1):
+        log_prod -= cmath.log(1.0 - (x / s) ** m)
+    log_x = cmath.log(x)
+    for k in range(1, 400):
+        p = m * k
+        power_sum = tail_power_sum(p, n_factors)
+        if power_sum < 1e-300:
+            # Near underflow the power sum loses its digits.  It is below
+            # (N+1)^-p (1 + (N+1)/(p-1)) and later terms are smaller still,
+            # so stop only where that bound times |x|^p is negligible.
+            if (p * (log_x.real - math.log(n_factors + 1))
+                    + math.log1p((n_factors + 1) / (p - 1)) < math.log(1e-17)):
+                return log_prod + head
+            break
+        term = exp_log(p * log_x + math.log(power_sum)) / k
+        log_prod += term
+        if abs(term) < 1e-17:
+            return log_prod + head
+    raise DomainError(f"the tail of a product of {n_factors} factors does not "
+                      f"converge at |z| = {abs(x):.4g}")
+
+
 def unity_gamma_product(m: int, z: complex, route) -> complex:
     """Evaluate the product by the requested route."""
     if m < 2:
@@ -76,25 +124,7 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
         return exp_log(acc)
 
     if isinstance(route, TruncatedProduct):
-        log_prod = 0j
-        # w = (z/n)^m overflows for n <= |z| e^(-700/m).  There
-        # log(1 - w) = log w + log(1/w - 1) up to 2 pi i, which exp ignores.
-        n_over = min(int(abs(z) * math.exp(-700.0 / m)), _N_FACTORS)
-        for n in range(1, n_over + 1):
-            log_w = m * cmath.log(z / n)
-            log_prod -= log_w + cmath.log(cmath.exp(-log_w) - 1.0)
-        # (z/n)^m, not z^m/n^m: the integer n^m overflows a float from m = 103.
-        for n in range(n_over + 1, _N_FACTORS + 1):
-            log_prod -= cmath.log(1.0 - (z / n) ** m)
-        # First-order tail: exp(z^m * sum_{n>N} n^-m).
-        power_sum = tail_power_sum(m, _N_FACTORS)
-        if n_over == 0:
-            tail = z ** m * power_sum
-        elif power_sum == 0.0:
-            tail = 0j
-        else:
-            tail = exp_log(m * cmath.log(z) + math.log(power_sum))
-        return cmath.exp(log_prod + tail)
+        return cmath.exp(_log_truncated_product(m, z, _N_FACTORS))
 
     if isinstance(route, ExpZetaSeries):
         if abs(z) > 0.95:
@@ -147,59 +177,34 @@ def series_coefficient(m: int, n: int) -> float:
 
 def product_coefficient(m: int, n: int, n_factors: int) -> float:
     """lambda_n from the truncated product over s = 1..n_factors, s != n,
-    with a tail correction; an independent check on `series_coefficient`."""
+    with its full tail; an independent check on `series_coefficient`."""
     if m < 2 or n < 1:
         raise DomainError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
     if n_factors < 4 * n:
         raise DomainError("product route needs at least 4n factors")
-    # -(1/m) prod_{s != n} s^m/(s^m - n^m), in log space with sign tracking
-    log_mag = -math.log(m)
-    sign = -1
-    nm = float(n) ** m
-    for s in range(1, n_factors + 1):
-        if s == n:
-            continue
-        num = float(s) ** m
-        den = num - nm
-        log_mag += math.log(num) - math.log(abs(den))
-        if den < 0:
-            sign = -sign
-    # Tail prod_{s>N} s^m/(s^m - n^m) = exp(sum_k n^{mk}/k * sum_{s>N} s^{-mk});
-    # raw truncation at N = 8n would leave an O(n/N) relative error.
-    for k in range(1, 400):
-        inc = float(n) ** (m * k) / k * tail_power_sum(m * k, n_factors)
-        log_mag += inc
-        if inc < 1e-17:
-            break
-    return sign * math.exp(log_mag)
+    # lambda_n = -(1/m) prod_{s != n} 1/(1 - (n/s)^m), whose n - 1 factors
+    # with s < n are negative: the sign is (-1)^n.
+    sign = -1 if n % 2 else 1
+    return sign * math.exp(_log_truncated_product(m, n, n_factors, skip=n).real) / m
 
 
-@dataclass(frozen=True)
-class PfdSeriesValue:
-    value: complex
-    tail_bound: float
-
-
-def unity_product_pfd(m: int, z: complex, n_terms: int) -> PfdSeriesValue:
+def unity_product_pfd(m: int, z: complex, n_terms: int) -> ConvergenceReport:
     """Partial-fraction series for the product:
 
-        1 + sum_{n=1}^{N} m * lambda_n * z^m/(z^m - n^m)
+        1 + sum_{n=1}^{N} m * lambda_n * w/(w - 1),  w = (z/n)^m,
 
-    with a conservative tail bound m|z|^m sum_{n>N} 1/(n^m - |z|^m).
+    with `error_estimate` the conservative tail bound
+    m|z|^m sum_{n>N} 1/(n^m - |z|^m).
     """
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")
     z = complex(z)
-    if z == 0:
-        return PfdSeriesValue(1.0 + 0j, 0.0)
     _check_pole_distance(m, z)
-    zm = z ** m
     s = 1.0 + 0j
     for n in range(1, n_terms + 1):
-        lam = series_coefficient(m, n)
-        s += m * lam * zm / (zm - float(n) ** m)
-    r = abs(z) ** m
-    # sum_{n>N} 1/(n^m - r) <= sum_{n>N} n^-m / (1 - r/(N+1)^m)
-    tail_sum = tail_power_sum(m, n_terms) / (1.0 - r / float(n_terms + 1) ** m)
-    tail = m * r * tail_sum
-    return PfdSeriesValue(s, tail)
+        w = (z / n) ** m
+        s += m * series_coefficient(m, n) * w / (w - 1.0)
+    # sum_{n>N} 1/(n^m - r) <= sum_{n>N} n^-m / (1 - r/(N+1)^m), r = |z|^m
+    tail_sum = tail_power_sum(m, n_terms) / (1.0 - (abs(z) / (n_terms + 1)) ** m)
+    return ConvergenceReport(s, n_terms, m * abs(z) ** m * tail_sum,
+                             AccelerationMethod.NO_ACCELERATION)

@@ -84,17 +84,27 @@ def test_series_rejects_non_finite_input(a, z):
 
 
 def test_series_huge_a_overflows_readably():
-    # 2a is inf, so the pole test on 2a must not round it.
-    with pytest.raises(OverflowError, match="exceeds double range"):
-        gamma_pfd_series(1e308, 0.1, 16, EULER)
+    # At 1e308 2a is inf, so the pole test on 2a must not round it; from
+    # a = 81.5 on, exp of log|c_k| overflows while the terms are built.
+    for a in (1e308, 81.5, 90.0, 98.9):
+        for method in (NONE, EULER, CVZ):
+            with pytest.raises(OverflowError, match="exceeds double range"):
+                gamma_pfd_series(a, 0.1, 16, method)
 
 
-@pytest.mark.parametrize("q", [500.0, 1e20, 1e308])
-def test_inverse_square_huge_q_overflows_readably(q):
+@pytest.mark.parametrize("q,method", [
+    pytest.param(500.0, EULER, id="500.0"),
+    pytest.param(1e20, EULER, id="1e+20"),
+    pytest.param(1e308, EULER, id="1e+308"),
+    pytest.param(460.0, CVZ, id="460.0-cvz"),
+    pytest.param(469.0, EULER, id="469.0-euler"),
+])
+def test_inverse_square_huge_q_overflows_readably(q, method):
     # A term's exp overflows from q near 469, lgamma itself near 1e305,
-    # and -4q is -inf at 1e308.
+    # and -4q is -inf at 1e308.  CVZ's weighted sum of finite terms
+    # overflows to nan from q near 454, and at 469 Euler's sums reach inf.
     with pytest.raises(OverflowError, match="exceeds double range"):
-        inverse_square_series(q, 16, EULER)
+        inverse_square_series(q, 16, method)
 
 
 @pytest.mark.parametrize("q", [math.nan, math.inf])

@@ -3,13 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
-from omega_zeta import (
-    PrecisionConfig,
-    UnknownConstantError,
-    known_constant,
-    tail_power_sum,
-    zeta_oracle,
-)
+from omega_zeta import PrecisionConfig, tail_power_sum, zeta_oracle
 
 mp.mp.dps = 40
 
@@ -46,13 +40,6 @@ def test_tail_power_sum_consistency_with_oracle():
     for p in (2, 3, 5):
         partial = sum(n ** (-float(p)) for n in range(1, 21))
         assert abs(partial + tail_power_sum(p, 20) - zeta_oracle(p)) < 1e-14
-
-
-def test_known_constants():
-    assert known_constant("pi") == math.pi
-    assert abs(known_constant("zeta3") - float(mp.zeta(3))) < 1e-16
-    with pytest.raises(UnknownConstantError):
-        known_constant("feigenbaum")
 
 
 def test_precision_config_defaults():

@@ -41,10 +41,12 @@ def test_route_cross_agreement():
 
 
 def test_m2_closed_form():
+    # A first-order tail left the truncated route 6.8e-11 off here.
     for z in (0.1, 0.3, 0.5 + 0.2j, 0.8j):
         ref = math.pi * z / cmath.sin(math.pi * z)
-        v = unity_gamma_product(2, z, GammaProduct())
-        assert abs(v - ref) < 1e-11 * abs(ref)
+        for route in ROUTES:
+            v = unity_gamma_product(2, z, route)
+            assert abs(v - ref) < 1e-13 * abs(ref)
 
 
 def test_rotation_symmetry():
@@ -62,6 +64,9 @@ def test_pole_and_domain_errors():
         unity_gamma_product(3, 0.97, ExpZetaSeries())
     with pytest.raises(DomainError):
         unity_gamma_product(1, 0.5, GammaProduct())
+    # The truncated route's tail diverges beyond its 1000 factors.
+    with pytest.raises(DomainError):
+        unity_gamma_product(2, 1200.5 + 0.5j, TruncatedProduct())
 
 
 @pytest.mark.parametrize("m,z", [(500, 3 * (1 + 1e-13)), (3, 1 + 1e-10j),
@@ -95,6 +100,16 @@ def test_coefficient_sign_and_bound():
             assert (v > 0) == (n % 2 == 0)
 
 
+@pytest.mark.parametrize("m", [200, 300])
+def test_product_coefficient_at_large_m(m):
+    # The old tail formed n^(mk) = 2^(300k), which overflows from k = 4.
+    # The closed form is itself 1.6e-13 off here, so the reference is mpmath.
+    with mp.workdps(40):
+        ref = mp.fprod(mp.gamma(1 - mp.expjpi(mp.mpf(2 * j) / m) * 2)
+                       for j in range(1, m)) / 2
+        assert abs(product_coefficient(m, 2, 16) - ref) <= 1e-13 * abs(ref)
+
+
 def test_product_route_needs_enough_factors():
     with pytest.raises(DomainError):
         product_coefficient(3, 10, 20)
@@ -103,19 +118,30 @@ def test_product_route_needs_enough_factors():
 def test_pfd_series_against_closed_form():
     v = unity_product_pfd(2, 0.5, 200)
     assert abs(v.value - math.pi / 2) < 1e-5
-    assert abs(v.value - math.pi / 2) < v.tail_bound
+    assert abs(v.value - math.pi / 2) < v.error_estimate
 
 
 def test_pfd_series_at_zero():
     v = unity_product_pfd(3, 0.0, 1)
     assert v.value == 1.0
-    assert v.tail_bound == 0.0
+    assert v.error_estimate == 0.0
 
 
 def test_pfd_series_matches_gamma_route_within_tail():
     v = unity_product_pfd(3, 0.3, 100)
     ref = unity_gamma_product(3, 0.3, GammaProduct())
-    assert abs(v.value - ref) < v.tail_bound
+    assert abs(v.value - ref) < v.error_estimate
+
+
+@pytest.mark.parametrize("z", [0.5, 0.95])
+def test_pfd_series_at_large_m(z):
+    # n^1200 overflows a float from n = 2; each term takes w = (z/n)^m.
+    v = unity_product_pfd(1200, z, 10)
+    with mp.workdps(40):
+        zm = mp.mpc(z) ** 1200
+        ref = mp.exp(mp.nsum(lambda k: mp.zeta(1200 * k) * zm ** k / k,
+                             [1, mp.inf]))
+    assert abs(v.value - complex(ref)) <= v.error_estimate
 
 
 def test_coefficient_log_parts_against_multiprecision():
@@ -146,6 +172,14 @@ def test_truncated_product_beyond_float_range_of_n_to_the_m(m):
         ref = unity_gamma_product(m, z, GammaProduct())
         v = unity_gamma_product(m, z, TruncatedProduct())
         assert abs(v - ref) <= 1e-9 * abs(ref)
+
+
+def test_truncated_product_tail_beyond_first_order():
+    # At m = 2 the first-order tail z^2 sum_{n>1000} n^-2 left 1.4e-4 here.
+    z = 30.5 + 0.1j
+    ref = unity_gamma_product(2, z, GammaProduct())
+    v = unity_gamma_product(2, z, TruncatedProduct())
+    assert abs(v - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("r", [1.898, 1.92])
