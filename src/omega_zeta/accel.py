@@ -19,6 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -127,20 +128,23 @@ def euler_average(values):
     return last, abs(last - prev) + rounding
 
 
+@lru_cache(maxsize=None)
 def _binomial_weights(n):
-    """C(n,k) / 2^n for k = 0..n, each rounded once from exact integers."""
+    """C(n,k) / 2^n for k = 0..n, each rounded once from exact integers.
+
+    A tuple, since the cache hands the same object to every caller."""
     scale = 1 << n
     c = 1
     weights = []
     for k in range(n + 1):
         weights.append(c / scale)
         c = c * (n - k) // (k + 1)
-    return weights
+    return tuple(weights)
 
 
 def _binomial_mean(weights, sums):
     """(sum_k w_k s_k, rounding bound) as derived in euler_average."""
-    if any(isinstance(s, complex) for s in sums):
+    if complex in map(type, sums):
         re, re_bound = _binomial_mean(weights, [s.real for s in sums])
         im, im_bound = _binomial_mean(weights, [s.imag for s in sums])
         return complex(re, im), math.hypot(re_bound, im_bound)
@@ -189,7 +193,7 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
     method = AccelerationMethod(method)
     real = True
     try:
-        terms = [float(t) for t in terms]
+        terms = list(map(float, terms))
     except TypeError:
         # Complex terms with no imaginary part are summed as real ones.
         terms = [complex(t) for t in terms]

@@ -194,11 +194,14 @@ def unity_product_pfd(m: int, z: complex, n_terms: int) -> ConvergenceReport:
         1 + sum_{n=1}^{N} m * lambda_n * w/(w - 1),  w = (z/n)^m,
 
     with `error_estimate` the conservative tail bound
-    m|z|^m sum_{n>N} 1/(n^m - |z|^m).
+    m|z|^m sum_{n>N} 1/(n^m - |z|^m), which holds for |z| < N + 1 only.
     """
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")
     z = complex(z)
+    if abs(z) >= n_terms + 1:
+        raise DomainError(f"a series of {n_terms} terms needs "
+                          f"|z| < {n_terms + 1}, got |z| = {abs(z):.4g}")
     _check_pole_distance(m, z)
     s = 1.0 + 0j
     for n in range(1, n_terms + 1):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import lru_cache
 
 from .accel import ConvergenceReport, running_sums, sum_alternating
 from .errors import DomainError
@@ -62,6 +63,7 @@ def q_poly(d: int) -> float:
     return sum(math.log(k * k + c) for k in range(1, d + 1))
 
 
+@lru_cache(maxsize=None)
 def sine_term(n: int) -> float:
     """n-th term of the sine-form series, accumulated in log-space.
 
@@ -80,6 +82,7 @@ def sine_term(n: int) -> float:
     return (1 if n % 2 else -1) * math.exp(log_mag)
 
 
+@lru_cache(maxsize=None)
 def hyperbolic_term(n: int) -> float:
     """n-th term of the interleaved hyperbolic-form series.
 
@@ -103,6 +106,7 @@ def hyperbolic_term(n: int) -> float:
     return sign * math.exp(log_mag)
 
 
+@lru_cache(maxsize=None)
 def beta_series_term(n: int) -> float:
     """3 * (-1)^(n-1) * B(n/2, n/2) / n^2, via log-gamma."""
     log_mag = (math.log(3.0) + 2.0 * math.lgamma(0.5 * n)
@@ -116,6 +120,7 @@ def beta_series_term(n: int) -> float:
 _INNER_LOG_CAP = math.log(1e8)
 
 
+@lru_cache(maxsize=None)
 def inner_double_sum(n: int):
     """Euler-transformed inner k-sum of the double series,
 

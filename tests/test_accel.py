@@ -177,6 +177,27 @@ def test_euler_rounding_bound_holds_exactly(kind, n):
     assert gap(exact_re, exact_im) <= rounding
 
 
+def test_binomial_weights_cache_returns_the_same_tuple_bits():
+    grid = (0, 1, 2, 17, 256, 1100)
+    before = [[w.hex() for w in _binomial_weights(n)] for n in grid]
+    assert all(type(_binomial_weights(n)) is tuple for n in grid)
+    _binomial_weights.cache_clear()
+    assert [[w.hex() for w in _binomial_weights(n)] for n in grid] == before
+
+
+@pytest.mark.parametrize("sums", [
+    list(accumulate(COMPLEX_TERMS)),
+    [1.0, 0.5 + 0.25j, 0.75, 0.625],  # complex only in the middle
+], ids=["complex", "mixed"])
+def test_euler_takes_the_complex_branch(sums):
+    value, est = euler_average(sums)
+    assert type(value) is complex
+    re, _ = euler_average([complex(s).real for s in sums])
+    im, _ = euler_average([complex(s).imag for s in sums])
+    assert value == complex(re, im)
+    assert est > 0.0
+
+
 @pytest.mark.parametrize("n", [2, 17, 256])
 def test_euler_estimate_is_never_zero(n):
     # Constant partial sums and Sum (-1)^k (k+1) at n = 17 both give

@@ -57,6 +57,8 @@ def captured(monkeypatch):
 
     monkeypatch.setattr(gamma_pfd_module, "sum_alternating", capture)
     monkeypatch.setattr(zeta3_module, "sum_alternating", capture)
+    # A memoized inner sum computed earlier would not reach the capture.
+    zeta3_module.inner_double_sum.cache_clear()
     return seen
 
 

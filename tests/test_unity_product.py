@@ -127,6 +127,14 @@ def test_pfd_series_at_zero():
     assert v.error_estimate == 0.0
 
 
+@pytest.mark.parametrize("z", [12.5, 8.0 + 8.0j, 11.0 + 1e-9j])
+def test_pfd_series_refuses_z_beyond_its_tail_bound(z):
+    # The tail bound divides by 1 - (|z|/(N+1))^m, negative from |z| = N+1:
+    # (20, 12.5, 10) once reported an estimate of -26.5.
+    with pytest.raises(DomainError):
+        unity_product_pfd(20, z, 10)
+
+
 def test_pfd_series_matches_gamma_route_within_tail():
     v = unity_product_pfd(3, 0.3, 100)
     ref = unity_gamma_product(3, 0.3, GammaProduct())

@@ -137,6 +137,30 @@ def test_inner_double_sum_matches_term_decomposition():
         assert abs(value - ref) < max(1e-9, 10 * noise)
 
 
+MEMOIZED = (sine_term, hyperbolic_term, beta_series_term, inner_double_sum)
+
+
+@pytest.mark.parametrize("fn", MEMOIZED, ids=lambda fn: fn.__name__)
+def test_term_cache_returns_the_same_bits(fn):
+    grid = (1, 2, 3, 8, 31, 120)
+
+    def bits(value):  # inner_double_sum returns (value, noise)
+        return tuple(map(float.hex, value)) if type(value) is tuple else value.hex()
+
+    before = [bits(fn(n)) for n in grid]
+    fn.cache_clear()
+    assert [bits(fn(n)) for n in grid] == before
+    assert [bits(fn.__wrapped__(n)) for n in grid] == before
+
+
+@pytest.mark.parametrize("fn", (sine_term, hyperbolic_term, inner_double_sum),
+                         ids=lambda fn: fn.__name__)
+def test_term_cache_keeps_no_exceptions(fn):
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            fn(0)
+
+
 def test_no_overflow_to_200():
     for n in range(1, 201):
         assert math.isfinite(sine_term(n))

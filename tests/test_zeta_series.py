@@ -93,3 +93,44 @@ def test_domain_errors():
         zeta_via_series(1)
     with pytest.raises(DomainError):
         zeta_term(3, 0)
+
+
+def test_term_cache_returns_the_same_bits():
+    grid = [(m, n) for m in (2, 3, 7, 40) for n in (1, 2, 9, 64)]
+    before = [zeta_term(m, n).hex() for m, n in grid]
+    zeta_term.cache_clear()
+    assert [zeta_term(m, n).hex() for m, n in grid] == before
+    assert [zeta_term.__wrapped__(m, n).hex() for m, n in grid] == before
+
+
+def test_term_cache_keeps_no_exceptions():
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            zeta_term(3, 0)
+        with pytest.raises(DomainError):
+            zeta_term(1, 4)
+
+
+@pytest.mark.parametrize("m", [*range(3, 13), 20, 120, 2000])
+def test_first_term_matches_the_product(m):
+    # t_1 = prod_{s>=2} 1/(1 - s^-m), the truncated product with its tail
+    with mp.workdps(40):
+        ref = mp.exp(mp.nsum(lambda s: -mp.log1p(-mp.mpf(s) ** -m), [2, mp.inf]))
+        assert abs(zeta_term(m, 1) - ref) <= 4e-16 * ref
+
+
+def _cases_within_estimate():
+    for m in range(3, 13):
+        yield m, "none", 128
+        yield m, "euler", 128
+        # CVZ raises SignPatternError once the terms underflow to 0, from
+        # m*N of about 720.
+        yield m, "cvz", 640 // m
+
+
+@pytest.mark.parametrize("m,method,n_terms", _cases_within_estimate())
+def test_series_within_its_estimate(m, method, n_terms):
+    rep = zeta_via_series(m, PrecisionConfig(max_terms=n_terms, method=method))
+    ref = float(mp.zeta(m))
+    eps = 2.0 ** -52
+    assert abs(rep.value - ref) <= max(rep.error_estimate, 8 * eps * ref)
