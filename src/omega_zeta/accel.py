@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import DivergenceError, DomainError, SignPatternError
 
@@ -56,15 +56,28 @@ class ConvergenceReport:
     method: AccelerationMethod
 
 
-def running_sums(start: float, steps: Iterable[float]) -> Iterator[float]:
-    """start, then start plus each prefix of `steps`, Kahan-compensated.
+def log_hypergeometric(start: float, factors, first: int,
+                       count: int) -> Iterator[float]:
+    """log|t_k| for k = first .. first + count - 1 of a hypergeometric term.
 
-    The series modules carry a term's log-magnitude as a running sum of
-    log-ratio steps.  Summed plainly, a log-magnitude near 30 rounds by
-    about 2e-15 at each step, which after 1024 steps reaches 1e-13
-    relative in the terms; compensated, the error stays near one
-    rounding of the final sum.
+    log|t_first| = `start`, and t_(k+1)/t_k = prod (1 + c/(k + d))^e over
+    the (c, d, e) triples in `factors`.  Each factor adds e*log1p(c/(k+d)),
+    or, where c/(k + d) < -1/2 and log1p would magnify the rounding of its
+    argument, e*log|(k + d + c)/(k + d)| as one quotient.  A float e keeps
+    the product on the interpreter's fast path.
+
+    The count - 1 steps go into a Kahan-compensated sum.  Summed plainly, a
+    log-magnitude near 30 rounds by about 2e-15 per step, 1e-13 relative in
+    the terms after 1024 steps; compensated, about one rounding in all.
     """
+    log1p, log = math.log1p, math.log
+    ks = range(first, first + count - 1)
+    steps = None
+    for c, d, e in factors:
+        logs = [e * (log1p(x) if (x := c / (k + d)) >= -0.5
+                     else log(abs((k + d + c) / (k + d))))
+                for k in ks]
+        steps = logs if steps is None else list(map(operator.add, steps, logs))
     total = start
     comp = 0.0
     yield total
@@ -159,11 +172,14 @@ def _binomial_mean(weights, sums):
 
 def _cvz(terms):
     """Cohen-Rodriguez Villegas-Zagier sum of strictly alternating real
-    terms; returns (value, error_estimate)."""
+    terms; returns (value, error_estimate).
+
+    A term that underflowed to +-0.0 keeps its sign bit and still
+    alternates; an exact 0.0 after a positive term does not."""
     n = len(terms)
-    signs = [1 if t > 0 else -1 if t < 0 else 0 for t in terms]
-    for k in range(n):
-        if signs[k] == 0 or (k > 0 and signs[k] == signs[k - 1]):
+    signs = [math.copysign(1.0, t) for t in terms]
+    for k in range(1, n):
+        if signs[k] == signs[k - 1]:
             raise SignPatternError(
                 f"terms must strictly alternate in sign (index {k})"
             )

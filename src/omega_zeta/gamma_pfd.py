@@ -16,7 +16,7 @@ import cmath
 import functools
 import math
 
-from .accel import AccelerationMethod, ConvergenceReport, running_sums, sum_alternating
+from .accel import AccelerationMethod, ConvergenceReport, log_hypergeometric, sum_alternating
 from .errors import DomainError, PoleError
 from .special import exp_log, log_gamma, trigamma
 
@@ -93,9 +93,9 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     CVZ sees an alternating series.  Gamma(a)^2 and the coefficients are
     real, so the value is a float exactly when z^2 is real.
 
-    The coefficients are hypergeometric: log|c_0| takes one lgamma, and
-    each later log|c_k| adds the log1p of the rational ratio c_k/c_{k-1}
-    to a compensated running sum (`running_sums`), so the terms stay
+    The coefficients c_k = Gamma(2a+k)/((a+k) k!) are hypergeometric, with
+    c_(k+1)/c_k = (1 + (2a-1)/(k+1)) / (1 + 1/(a+k)): log|c_0| takes one
+    lgamma and `accel.log_hypergeometric` the rest, so the terms stay
     within about 1e-14 relative of their exact values up to N = 1024.
     """
     method = AccelerationMethod(method)
@@ -112,17 +112,9 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
         raise DomainError("need n_terms >= 1")
     z2 = z * z
     ga2 = exp_log(2.0 * log_gamma(a)).real
-
-    # log|c_k| for c_k = Gamma(2a+k)/((a+k) k!), by the ratio
-    # c_{k+1}/c_k = (2a+k)/(k+1) * (a+k)/(a+k+1).  From k0 on, a+k > 0
-    # and the first factor is at least 1/2, so log1p is accurate; the
-    # steps before k0 take log|ratio| directly.
-    k0 = math.ceil(1.0 - 4.0 * a)
-    steps = (math.log1p((2.0 * a - 1.0) / (k + 1)) - math.log1p(1.0 / (a + k))
-             if k >= k0 else
-             math.log(abs((2.0 * a + k) / (k + 1) * (a + k) / (a + k + 1.0)))
-             for k in range(n_terms - 1))
-    log_coefs = running_sums(math.lgamma(2.0 * a) - math.log(abs(a)), steps)
+    log_coefs = log_hypergeometric(math.lgamma(2.0 * a) - math.log(abs(a)),
+                                   ((2.0 * a - 1.0, 1, 1.0), (1.0, a, -1.0)),
+                                   0, n_terms)
     terms = []
     for k, log_coef in enumerate(log_coefs):
         ak = a + k
@@ -157,8 +149,9 @@ def inverse_square_series(q: float, n_terms: int,
     """The series -2 sum_n (-1)^n Gamma(2q+n+1)/(Gamma(q+1)^2 (n-1)! (q+n)^3),
     whose (possibly regularized) value is psi'(q+1).
 
-    log|t_1| takes the only lgamma calls; each later log|t_n| adds the
-    log1p of the ratio t_n/t_{n-1} to a compensated running sum.
+    The terms are hypergeometric, with t_(n+1)/t_n =
+    -(1 + (2q+1)/n) / (1 + 1/(q+n))^3: log|t_1| takes the only lgamma calls
+    and `accel.log_hypergeometric` the rest.
     """
     method = AccelerationMethod(method)
     if not math.isfinite(q):
@@ -167,17 +160,12 @@ def inverse_square_series(q: float, n_terms: int,
         raise DomainError(f"need q > -1, got {q}")
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")
-    # Ratio t_{n+1}/t_n = (2q+n+1)/n * ((q+n)/(q+n+1))^3, with log1p once
-    # (2q+1)/n >= -1/2, that is n >= n0, and log|ratio| directly before.
-    n0 = -2.0 - 4.0 * q
-    steps = (math.log1p((2.0 * q + 1.0) / n) - 3.0 * math.log1p(1.0 / (q + n))
-             if n >= n0 else
-             math.log((2.0 * q + n + 1.0) / n * ((q + n) / (q + n + 1.0)) ** 3)
-             for n in range(1, n_terms))
     # With 16 terms the CVZ sum leaves the double range from q near 454,
     # a term from 469, and lgamma itself from 1e305.
     log_t1 = (math.lgamma(2.0 * q + 2.0) - 2.0 * math.lgamma(q + 1.0)
               - 3.0 * math.log(q + 1.0))
+    log_mags = log_hypergeometric(log_t1, ((2.0 * q + 1.0, 0, 1.0), (1.0, q, -3.0)),
+                                  1, n_terms)
     terms = [(2.0 if n % 2 else -2.0) * math.exp(log_mag)
-             for n, log_mag in enumerate(running_sums(log_t1, steps), 1)]
+             for n, log_mag in enumerate(log_mags, 1)]
     return sum_alternating(terms, method)

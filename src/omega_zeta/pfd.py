@@ -23,8 +23,6 @@ _SEPARATION_TOL = 1e-10
 class PfdResult:
     nodes: tuple
     coefficients: tuple
-    # max|mu| * min pairwise node distance; grows as nodes collide.
-    condition: float
 
 
 def pfd_coefficients(a) -> PfdResult:
@@ -33,16 +31,13 @@ def pfd_coefficients(a) -> PfdResult:
     if n < 1:
         raise DomainError("need at least one node")
     if n == 1:
-        return PfdResult(nodes, (1.0 + 0j,), 1.0)
-    min_sep = float("inf")
+        return PfdResult(nodes, (1.0 + 0j,))
     for i in range(n):
         for j in range(i + 1, n):
-            d = abs(nodes[j] - nodes[i])
-            if d <= _SEPARATION_TOL:
+            if abs(nodes[j] - nodes[i]) <= _SEPARATION_TOL:
                 raise DegenerateNodesError(
                     f"nodes {i} and {j} coincide within {_SEPARATION_TOL}"
                 )
-            min_sep = min(min_sep, d)
     coefficients = []
     for i in range(n):
         mu = 1.0 + 0j
@@ -50,8 +45,7 @@ def pfd_coefficients(a) -> PfdResult:
             if j != i:
                 mu /= nodes[j] - nodes[i]
         coefficients.append(mu)
-    condition = max(abs(mu) for mu in coefficients) * min_sep
-    return PfdResult(nodes, tuple(coefficients), condition)
+    return PfdResult(nodes, tuple(coefficients))
 
 
 def pfd_residual(result: PfdResult, x: complex) -> float:

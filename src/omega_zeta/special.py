@@ -91,7 +91,10 @@ def log_gamma(z: complex) -> complex:
         raise PoleError(f"gamma pole at z = {z}")
     if z.real < 0.5:
         # Gamma(z) = pi / (sin(pi z) * Gamma(1 - z))
-        return math.log(math.pi) - log_sin(math.pi * z) - log_gamma(1.0 - z)
+        pi_z = math.pi * z
+        if not cmath.isfinite(pi_z):
+            raise OverflowError(f"log_gamma: pi*z exceeds double range at z = {z}")
+        return math.log(math.pi) - log_sin(pi_z) - log_gamma(1.0 - z)
     if z.imag == 0.0 and z.real == round(z.real) and z.real <= 171:
         # Positive integers: exact log-factorial path.
         return complex(math.lgamma(z.real))

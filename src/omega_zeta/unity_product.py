@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 from .accel import AccelerationMethod, ConvergenceReport
 from .errors import DomainError, PoleError
@@ -111,8 +110,8 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
     if m < 2:
         raise DomainError(f"need m >= 2, got {m}")
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"need finite z, got {z}")
+    if not math.isfinite(math.hypot(z.real, z.imag)):
+        raise DomainError(f"need finite z with |z| in double range, got {z}")
     if z == 0:
         return 1.0 + 0j
     _check_pole_distance(m, z)
@@ -147,7 +146,6 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
     raise DomainError(f"unknown route {route!r}")
 
 
-@lru_cache(maxsize=None)
 def coefficient_log_parts(m: int, n: int):
     """(log |lambda_n|, sign) of the gamma closed form
 

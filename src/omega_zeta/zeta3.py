@@ -18,7 +18,7 @@ import math
 from enum import Enum
 from functools import lru_cache
 
-from .accel import ConvergenceReport, running_sums, sum_alternating
+from .accel import ConvergenceReport, log_hypergeometric, sum_alternating
 from .errors import DomainError
 from .oracle import PrecisionConfig
 from .special import log_cosh, log_sin, log_sinh
@@ -130,8 +130,8 @@ def inner_double_sum(n: int):
     the classical sum diverges and only the Euler transform gives it a
     value.  Returns (value, noise) where noise estimates the cancellation
     error left by differencing the large binomial terms in double precision.
-    log C(n+k-1, k) starts at 0 and adds log1p((n-1)/(k+1)) per step in a
-    compensated running sum, so no lgamma is taken.
+    C(n+k-1, k) is hypergeometric in k, with ratio 1 + (n-1)/(k+1), so
+    `accel.log_hypergeometric` builds its logarithm from 0 with no lgamma.
     """
     if n < 1:
         raise DomainError("need n >= 1")
@@ -139,8 +139,7 @@ def inner_double_sum(n: int):
     terms = []
     base_sign = 1.0 if n % 2 == 0 else -1.0
     peak = 0.0
-    log_binoms = running_sums(0.0, (math.log1p((n - 1) / (k + 1))
-                                    for k in range(k_terms - 1)))
+    log_binoms = log_hypergeometric(0.0, ((n - 1, 1, 1.0),), 0, k_terms)
     for k, log_binom in enumerate(log_binoms):
         log_mag = (math.log(36.0) + log_binom
                    - math.log(n + 2.0 * k)

@@ -47,6 +47,8 @@ def test_sign_pattern_enforced():
         sum_alternating([1.0, 0.5, -0.2], CVZ)
     with pytest.raises(SignPatternError):
         sum_alternating([1.0, 0.0, 0.2], CVZ)
+    # Terms that underflowed keep their sign bit, and still alternate.
+    assert sum_alternating([1.0, -0.5, 0.0, -0.0], CVZ).terms_used == 4
 
 
 def test_euler_regularizes_divergent_alternating():

@@ -188,6 +188,18 @@ def test_gamma_pfd_huge_a_is_not_an_internal_message():
     assert "cannot convert" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("phi", "3", "--z", "1e308,1e308"), ("phi", "5", "--z=-1e308,1e307"),
+    ("phi", "2", "--z", "1e308,1.7e308"),
+], ids=["m3", "m5", "abs-z-overflows"])
+def test_phi_huge_z_is_not_an_internal_message(argv):
+    # pi*z overflows in log_gamma's reflection; |z| itself overflows abs().
+    proc = run_cli(*argv)
+    assert proc.returncode == 3
+    assert "double range" in proc.stderr
+    assert "convert" not in proc.stderr and "too large" not in proc.stderr
+
+
 def test_phi_large_m_outside_unit_disk_underflows_to_zero():
     # The pole check must not form z^m: 2.5^1100 overflows a float.
     proc = run_cli("phi", "1100", "--z", "2.5,0", "--route", "gamma")
@@ -202,6 +214,20 @@ def test_phi_product_route_large_m_outside_unit_disk_underflows_to_zero():
     assert proc.returncode == 0, proc.stderr
     (rec,) = json_records(proc)
     assert rec["value_re"] == 0.0 and rec["value_im"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", "15"), ("zeta", "20"), ("zeta", "2000", "--terms", "4"),
+    ("zeta", "46", "--terms", "16", "--method", "cvz"),
+], ids=["m15", "m20", "m2000-n4", "m46-n16-cvz"])
+def test_zeta_with_underflowed_terms_returns_within_its_estimate(argv):
+    mp = pytest.importorskip("mpmath")
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = json_records(proc)
+    ref = float(mp.zeta(int(argv[1])))
+    assert abs(rec["value_re"] - ref) <= max(rec["abs_error_estimate"],
+                                             8 * 2.0 ** -52 * ref)
 
 
 def test_verify_all_passes_quickly():

@@ -21,12 +21,16 @@ TERM_REL_TOL = 1e-13
 
 def _pfd_grid():
     rng = random.Random(20201)
-    # a < 0.25 takes the direct log|ratio| steps first; a < 0 has negative
-    # coefficients and Gamma(2a+k) of either sign.  At a = -1.94 an
-    # uncompensated running sum of the log-magnitudes misses by 1.7e-13.
+    # Below a = 0.25 the factor (2a-1)/(k+1) is < -1/2 at k = 0 and takes a
+    # direct log|ratio| step (0.2499 and 0.2501 sit either side of that
+    # edge); so does 1/(a+k) while -2 < a+k < 0, as at a = -0.001.  a < 0
+    # has negative coefficients and Gamma(2a+k) of either sign.  At
+    # a = -1.94 an uncompensated running sum of the log-magnitudes misses
+    # by 1.7e-13.
     cases = [(0.1, 0.3, 1024), (-0.3, 0.2 + 0.1j, 1024), (-2.9, 0.41, 1024),
-             (-1.94, 0.31, 1024), (2.97, 0.428, 384), (0.6, 0.35j, 256)]
-    while len(cases) < 16:
+             (-1.94, 0.31, 1024), (2.97, 0.428, 384), (0.6, 0.35j, 256),
+             (0.2499, 0.3, 1024), (0.2501, 0.3, 1024), (-0.001, 0.3, 256)]
+    while len(cases) < 19:
         a = rng.uniform(-2.9, 3.0)
         z = complex(rng.uniform(-0.45, 0.45), rng.choice((0.0, rng.uniform(-0.3, 0.3))))
         n_terms = rng.choice((16, 256, 1024))
@@ -40,7 +44,9 @@ def _pfd_grid():
 
 def _inverse_square_grid():
     rng = random.Random(20202)
-    cases = [(-0.9, 1024), (-0.3, 256), (1.882382, 1024), (3.0, 1024)]
+    # 2q+1 changes sign at q = -1/2, and (2q+1)/n < -1/2 at n = 1 for q < -3/4.
+    cases = [(-0.9, 1024), (-0.3, 256), (1.882382, 1024), (3.0, 1024),
+             (-0.5001, 1024), (-0.4999, 1024), (-0.7501, 256), (-0.7499, 256)]
     cases += [(round(rng.uniform(-0.99, 3.0), 6), rng.choice((16, 256, 1024)))
               for _ in range(6)]
     return cases

@@ -123,9 +123,11 @@ def _cases_within_estimate():
     for m in range(3, 13):
         yield m, "none", 128
         yield m, "euler", 128
-        # CVZ raises SignPatternError once the terms underflow to 0, from
-        # m*N of about 720.
         yield m, "cvz", 640 // m
+    # From m*N of about 720 the last terms underflow to +-0.0; they keep
+    # their sign bit, so CVZ sums them too.
+    yield from ((15, "cvz", 64), (20, "cvz", 64), (23, "cvz", 32),
+                (46, "cvz", 16), (2000, "cvz", 4))
 
 
 @pytest.mark.parametrize("m,method,n_terms", _cases_within_estimate())
