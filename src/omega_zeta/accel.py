@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterator
 
 from .errors import DivergenceError, DomainError, SignPatternError
@@ -33,6 +33,7 @@ __all__ = [
 
 _U = 2.0 ** -53  # unit roundoff of round to nearest
 _TINY = 2.0 ** -1074  # smallest subnormal: twice the error of an underflow
+_CVZ_MAX_N = 402  # the largest N with (3 + sqrt 8)^N below the double range
 
 
 class AccelerationMethod(Enum):
@@ -89,6 +90,13 @@ def log_hypergeometric(start: float, factors, first: int,
         yield total
 
 
+@lru_cache(maxsize=None)
+def _first_terms(term, count, *head):
+    """(term(*head, 1), ..., term(*head, count)) as one tuple, built once per
+    key from the memoized per-index `term`: a warm series costs one lookup."""
+    return tuple([term(*head, n) for n in range(1, count + 1)])
+
+
 def euler_average(values):
     """Euler transform of the partial sums `values` (real or complex).
 
@@ -130,14 +138,20 @@ def euler_average(values):
     any N that fits in memory.  Complex sums are treated part by part,
     since complex addition rounds each part on its own, and the two
     bounds combine with hypot.  The rounding of prev only perturbs the
-    truncation estimate, so it is not added.
+    truncation estimate, so prev is the fsum of its products alone (part
+    by part for complex sums), the same float as its binomial mean.
     """
     values = list(values)
     n = len(values)
     if n == 1:
         return values[0], abs(values[0])
     last, rounding = _binomial_mean(_binomial_weights(n - 1), values)
-    prev, _ = _binomial_mean(_binomial_weights(n - 2), values[:-1])
+    weights = _binomial_weights(n - 2)  # map stops after the first n - 1 sums
+    if type(last) is complex:
+        prev = complex(math.fsum(map(operator.mul, weights, [v.real for v in values])),
+                       math.fsum(map(operator.mul, weights, [v.imag for v in values])))
+    else:
+        prev = math.fsum(map(operator.mul, weights, values))
     return last, abs(last - prev) + rounding
 
 
@@ -161,7 +175,7 @@ def _binomial_mean(weights, sums):
         re, re_bound = _binomial_mean(weights, [s.real for s in sums])
         im, im_bound = _binomial_mean(weights, [s.imag for s in sums])
         return complex(re, im), math.hypot(re_bound, im_bound)
-    products = [w * s for w, s in zip(weights, sums)]
+    products = list(map(operator.mul, weights, sums))
     mean = math.fsum(products)
     running = list(accumulate(map(abs, sums)))
     drift = sum(map(operator.mul, weights, running))
@@ -170,29 +184,42 @@ def _binomial_mean(weights, sums):
     return mean, bound
 
 
+@lru_cache(maxsize=None)
+def _cvz_weights(n):
+    """(c_0 .. c_(n-1), d) for n terms, summed as sum_k c_k |t_k| / d (Cohen,
+    Rodriguez Villegas and Zagier, Exp. Math. 9, 2000, Algorithm 1).  A
+    tuple, cached like _binomial_weights; d overflows above _CVZ_MAX_N."""
+    if n > _CVZ_MAX_N:
+        raise OverflowError(f"cvz takes at most {_CVZ_MAX_N} terms, got {n}: "
+                            "its scale (3 + sqrt 8)^N overflows a double")
+    d = (3.0 + math.sqrt(8.0)) ** n
+    d = (d + 1.0 / d) / 2.0
+    b = -1.0
+    c = -d
+    weights = []
+    for k in range(n):
+        c = b - c
+        weights.append(c)
+        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+    return tuple(weights), d
+
+
 def _cvz(terms):
     """Cohen-Rodriguez Villegas-Zagier sum of strictly alternating real
     terms; returns (value, error_estimate).
 
     A term that underflowed to +-0.0 keeps its sign bit and still
-    alternates; an exact 0.0 after a positive term does not."""
-    n = len(terms)
-    signs = [math.copysign(1.0, t) for t in terms]
-    for k in range(1, n):
-        if signs[k] == signs[k - 1]:
-            raise SignPatternError(
-                f"terms must strictly alternate in sign (index {k})"
-            )
-    magnitudes = [abs(t) for t in terms]
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = (d + 1.0 / d) / 2.0
-    b = -1.0
-    c = -d
-    s = 0.0
-    for k in range(n):
-        c = b - c
-        s += c * magnitudes[k]
-        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+    alternates; an exact 0.0 after a positive term does not.  The weighted
+    sum is one builtin `sum`: left to right through Python 3.11, as the
+    recurrence's loop added, compensated from 3.12 (see README)."""
+    signs = list(map(math.copysign, repeat(1.0), terms))
+    same = list(map(operator.eq, signs, signs[1:]))
+    if True in same:
+        raise SignPatternError(
+            f"terms must strictly alternate in sign (index {same.index(True) + 1})")
+    weights, d = _cvz_weights(len(terms))
+    magnitudes = list(map(abs, terms))
+    s = sum(map(operator.mul, weights, magnitudes))
     a_max = max(magnitudes)
     return signs[0] * (s / d), max(3.0 * a_max / d, 16.0 * _U * a_max)
 
@@ -227,6 +254,8 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
                 f"series terms grow (|term {n}| = {est:.3g} > 1.2 |term "
                 f"{n // 2 + 1}|); use an accelerated method")
         value = math.fsum(terms) if real else sum(terms)
+        # fsum's and the terms' rounding; complex sum() rounds ~n times a part
+        est += (4.0 if real else 2.0 * n + 4.0) * _U * sum(map(abs, terms))
     elif method is AccelerationMethod.EULER_TRANSFORM:
         value, est = euler_average(list(accumulate(terms)))
     elif real:

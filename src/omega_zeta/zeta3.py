@@ -18,7 +18,8 @@ import math
 from enum import Enum
 from functools import lru_cache
 
-from .accel import ConvergenceReport, log_hypergeometric, sum_alternating
+from .accel import (ConvergenceReport, _first_terms, log_hypergeometric,
+                    sum_alternating)
 from .errors import DomainError
 from .oracle import PrecisionConfig
 from .special import log_cosh, log_sin, log_sinh
@@ -189,9 +190,9 @@ def zeta3_series(variant: Zeta3Variant | str,
         )
 
     if variant is Zeta3Variant.SINE:
-        terms = [sine_term(n) for n in range(1, config.max_terms + 1)]
+        terms = _first_terms(sine_term, config.max_terms)
     else:
         # max_terms counts index pairs d; each contributes an odd and an
         # even interleaved term.
-        terms = [hyperbolic_term(n) for n in range(1, 2 * config.max_terms + 1)]
+        terms = _first_terms(hyperbolic_term, 2 * config.max_terms)
     return sum_alternating(terms, config.method)

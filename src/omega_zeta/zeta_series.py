@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .accel import ConvergenceReport, sum_alternating
+from .accel import ConvergenceReport, _first_terms, sum_alternating
 from .errors import DomainError
 from .oracle import PrecisionConfig
 from .unity_product import coefficient_log_parts, product_coefficient
@@ -46,5 +46,5 @@ def zeta_via_series(m: int, config: PrecisionConfig | None = None) -> Convergenc
     if m < 2:
         raise DomainError(f"need m >= 2, got {m}")
     config = config or PrecisionConfig()
-    terms = [zeta_term(m, n) for n in range(1, config.max_terms + 1)]
-    return sum_alternating(terms, config.method)
+    return sum_alternating(_first_terms(zeta_term, config.max_terms, m),
+                           config.method)

@@ -1,5 +1,7 @@
 import math
+import operator
 import random
+import sys
 from fractions import Fraction
 from itertools import accumulate
 
@@ -11,7 +13,13 @@ from omega_zeta import (
     SignPatternError,
     sum_alternating,
 )
-from omega_zeta.accel import _binomial_mean, _binomial_weights, euler_average
+from omega_zeta.accel import (
+    _binomial_mean,
+    _binomial_weights,
+    _cvz,
+    _cvz_weights,
+    euler_average,
+)
 
 CVZ = AccelerationMethod.CHEBYSHEV_ALTERNATING
 EULER = AccelerationMethod.EULER_TRANSFORM
@@ -33,7 +41,8 @@ def test_alternating_harmonic_euler():
 def test_single_term_no_acceleration():
     rep = sum_alternating([1.0], NONE)
     assert rep.value == 1.0
-    assert rep.error_estimate == 1.0
+    # the last term, plus 4u of it for summation and term rounding
+    assert rep.error_estimate == 1.0 + 4.0 * 2.0 ** -53
 
 
 def test_zeta2_terms_cvz():
@@ -74,7 +83,9 @@ COMPLEX_TERMS = [complex(r, i) for r, i in zip(RE_PARTS, IM_PARTS)]
 def test_complex_terms_plain_and_euler():
     rep = sum_alternating(COMPLEX_TERMS, NONE)
     assert rep.value == sum(COMPLEX_TERMS)
-    assert rep.error_estimate == abs(COMPLEX_TERMS[-1])
+    # the last term, plus (2N + 4)u of sum |t| for recursive complex summation
+    assert rep.error_estimate == (abs(COMPLEX_TERMS[-1]) + 36.0 * 2.0 ** -53
+                                  * sum(map(abs, COMPLEX_TERMS)))
     rep = sum_alternating(COMPLEX_TERMS, EULER)
     value, est = euler_average(list(accumulate(COMPLEX_TERMS)))
     assert (rep.value, rep.error_estimate) == (value, est)
@@ -185,6 +196,68 @@ def test_binomial_weights_cache_returns_the_same_tuple_bits():
     assert all(type(_binomial_weights(n)) is tuple for n in grid)
     _binomial_weights.cache_clear()
     assert [[w.hex() for w in _binomial_weights(n)] for n in grid] == before
+
+
+def _cvz_loop(terms):
+    """CVZ as one loop over its recurrence, summing as it goes: the form the
+    cached weights replaced, kept here to pin their bits."""
+    n = len(terms)
+    magnitudes = [abs(t) for t in terms]
+    d = (3.0 + math.sqrt(8.0)) ** n
+    d = (d + 1.0 / d) / 2.0
+    b = -1.0
+    c = -d
+    s = 0.0
+    for k in range(n):
+        c = b - c
+        s += c * magnitudes[k]
+        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+    a_max = max(magnitudes)
+    return (math.copysign(1.0, terms[0]) * (s / d),
+            max(3.0 * a_max / d, 16.0 * 2.0 ** -53 * a_max))
+
+
+def _cvz_grid():
+    rng = random.Random(2000)
+    for n in range(1, 403):
+        yield [2.0 * (-1.0) ** k / (k + 1) ** 2 for k in range(n)]
+        yield [(-1.0) ** (k + 1) * rng.uniform(0.5, 2.0) / (k + 1) for k in range(n)]
+
+
+def test_cvz_matches_the_recurrence_loop():
+    # Through Python 3.11 builtin sum adds floats left to right, as the loop
+    # did.  From 3.12 it is compensated; the loop itself is up to ~60 ulp off
+    # the exact weighted sum at N near 400, so there the value is held to
+    # the exact sum of the same products instead.
+    for terms in _cvz_grid():
+        value, est = _cvz(terms)
+        ref, ref_est = _cvz_loop(terms)
+        assert est == ref_est
+        if sys.version_info < (3, 12):
+            assert value.hex() == ref.hex(), len(terms)
+        else:
+            weights, d = _cvz_weights(len(terms))
+            products = map(operator.mul, weights, map(abs, terms))
+            exact = math.copysign(float(sum(map(Fraction, products))) / d, terms[0])
+            assert abs(value - exact) <= 3 * math.ulp(exact), len(terms)
+
+
+def test_cvz_weights_cache_returns_the_same_tuple_bits():
+    grid = (1, 2, 17, 256, 402)
+
+    def bits(n):
+        weights, d = _cvz_weights(n)
+        return [w.hex() for w in weights], d.hex()
+
+    before = [bits(n) for n in grid]
+    assert all(type(_cvz_weights(n)[0]) is tuple for n in grid)
+    _cvz_weights.cache_clear()
+    assert [bits(n) for n in grid] == before
+
+
+def test_cvz_past_the_double_range_is_a_readable_overflow():
+    with pytest.raises(OverflowError, match="at most 402 terms, got 403"):
+        sum_alternating([(-1.0) ** k / (k + 1) for k in range(403)], CVZ)
 
 
 @pytest.mark.parametrize("sums", [

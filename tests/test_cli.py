@@ -254,3 +254,15 @@ def test_zeta_value_matches_pi_squared_over_six():
     proc = run_cli("zeta", "2", "--terms", "32")
     (rec,) = json_records(proc)
     assert abs(rec["value_re"] - math.pi ** 2 / 6) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", "2", "--terms", "403", "--method", "cvz"),
+    ("zeta3", "--variant", "sine", "--terms", "403", "--method", "cvz"),
+], ids=["zeta", "zeta3-sine"])
+def test_cvz_past_its_double_range_names_the_limit(argv):
+    # (3 + sqrt 8)^N, CVZ's scale, overflows a double from N = 403.
+    proc = run_cli(*argv)
+    assert proc.returncode == 3
+    assert "at most 402 terms, got 403" in proc.stderr
+    assert "(34," not in proc.stderr

@@ -20,6 +20,7 @@ from omega_zeta import (
     zeta_oracle,
     zeta_term,
 )
+from omega_zeta.accel import _first_terms
 from omega_zeta.zeta3 import beta_series_term, inner_double_sum
 
 mp.mp.dps = 40
@@ -171,3 +172,17 @@ def test_variants_within_own_estimates():
     for variant in Zeta3Variant:
         rep = zeta3_series(variant, PrecisionConfig(max_terms=40))
         assert abs(rep.value - ZETA3) <= 5 * rep.error_estimate
+
+
+@pytest.mark.parametrize("fn", (sine_term, hyperbolic_term), ids=lambda fn: fn.__name__)
+def test_term_tuple_is_the_per_index_terms(fn):
+    grid = (1, 12, 80)
+
+    def bits():
+        return [[t.hex() for t in _first_terms(fn, count)] for count in grid]
+
+    before = bits()
+    assert before == [[fn(n).hex() for n in range(1, count + 1)] for count in grid]
+    assert all(type(_first_terms(fn, count)) is tuple for count in grid)
+    _first_terms.cache_clear()
+    assert bits() == before

@@ -13,6 +13,7 @@ from omega_zeta import (
     zeta_term,
     zeta_via_series,
 )
+from omega_zeta.accel import _first_terms
 
 mp.mp.dps = 30
 
@@ -136,3 +137,28 @@ def test_series_within_its_estimate(m, method, n_terms):
     ref = float(mp.zeta(m))
     eps = 2.0 ** -52
     assert abs(rep.value - ref) <= max(rep.error_estimate, 8 * eps * ref)
+
+
+@pytest.mark.parametrize("n_terms", [16, 32, 64, 128])
+def test_plain_sum_within_its_estimate(n_terms):
+    # The last term bounds the truncation; 4u sum |t| covers fsum's rounding
+    # and the terms' own (2u leaves m = 9 out), so the estimate never reads
+    # 0.0 once the last terms underflow.
+    for m in range(3, 41):
+        rep = zeta_via_series(m, PrecisionConfig(max_terms=n_terms, method="none"))
+        err = abs(mp.mpf(rep.value) - mp.zeta(m))
+        assert 0.0 < rep.error_estimate and err <= rep.error_estimate, m
+
+
+def test_term_tuple_is_the_per_index_terms():
+    grid = [(2, 16), (3, 64), (12, 128), (40, 32)]
+
+    def bits():
+        return [[t.hex() for t in _first_terms(zeta_term, count, m)] for m, count in grid]
+
+    before = bits()
+    assert before == [[zeta_term(m, n).hex() for n in range(1, count + 1)]
+                      for m, count in grid]
+    assert all(type(_first_terms(zeta_term, count, m)) is tuple for m, count in grid)
+    _first_terms.cache_clear()
+    assert bits() == before
