@@ -98,7 +98,7 @@ def _first_terms(term, count, *head):
 
 
 def euler_average(values):
-    """Euler transform of the partial sums `values` (real or complex).
+    """Euler transform of the real partial sums `values`.
 
     Returns (limit, error_estimate).  With N sums S_0..S_(N-1) the limit
     is the binomial mean
@@ -135,11 +135,9 @@ def euler_average(values):
     roundings made in evaluating the bound itself: its sums of
     nonnegative numbers (the A_k, sum_k |p_k| and sum_k w_k A_k) are plain
     recursive sums, within a factor 1 + 2Nu of exact, far below 2 for
-    any N that fits in memory.  Complex sums are treated part by part,
-    since complex addition rounds each part on its own, and the two
-    bounds combine with hypot.  The rounding of prev only perturbs the
-    truncation estimate, so prev is the fsum of its products alone (part
-    by part for complex sums), the same float as its binomial mean.
+    any N that fits in memory.  The rounding of prev only perturbs the
+    truncation estimate, so prev is the fsum of its products alone, the
+    same float as its binomial mean.
     """
     values = list(values)
     n = len(values)
@@ -147,11 +145,7 @@ def euler_average(values):
         return values[0], abs(values[0])
     last, rounding = _binomial_mean(_binomial_weights(n - 1), values)
     weights = _binomial_weights(n - 2)  # map stops after the first n - 1 sums
-    if type(last) is complex:
-        prev = complex(math.fsum(map(operator.mul, weights, [v.real for v in values])),
-                       math.fsum(map(operator.mul, weights, [v.imag for v in values])))
-    else:
-        prev = math.fsum(map(operator.mul, weights, values))
+    prev = math.fsum(map(operator.mul, weights, values))
     return last, abs(last - prev) + rounding
 
 
@@ -171,10 +165,6 @@ def _binomial_weights(n):
 
 def _binomial_mean(weights, sums):
     """(sum_k w_k s_k, rounding bound) as derived in euler_average."""
-    if complex in map(type, sums):
-        re, re_bound = _binomial_mean(weights, [s.real for s in sums])
-        im, im_bound = _binomial_mean(weights, [s.imag for s in sums])
-        return complex(re, im), math.hypot(re_bound, im_bound)
     products = list(map(operator.mul, weights, sums))
     mean = math.fsum(products)
     running = list(accumulate(map(abs, sums)))
@@ -188,10 +178,11 @@ def _binomial_mean(weights, sums):
 def _cvz_weights(n):
     """(c_0 .. c_(n-1), d) for n terms, summed as sum_k c_k |t_k| / d (Cohen,
     Rodriguez Villegas and Zagier, Exp. Math. 9, 2000, Algorithm 1).  A
-    tuple, cached like _binomial_weights; d overflows above _CVZ_MAX_N."""
+    tuple, cached like _binomial_weights.  d overflows above _CVZ_MAX_N, so
+    more terms are outside CVZ's domain."""
     if n > _CVZ_MAX_N:
-        raise OverflowError(f"cvz takes at most {_CVZ_MAX_N} terms, got {n}: "
-                            "its scale (3 + sqrt 8)^N overflows a double")
+        raise DomainError(f"cvz takes at most {_CVZ_MAX_N} terms, got {n}: "
+                          "its scale (3 + sqrt 8)^N overflows a double")
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
     b = -1.0
@@ -225,43 +216,44 @@ def _cvz(terms):
 
 
 def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceReport:
-    """Sum a list of real or complex terms with the requested scheme.
+    """Sum an iterable of real or complex terms with the requested scheme.
 
     `method` is an AccelerationMethod or its string value.  Plain
     summation refuses terms that grow (DivergenceError), since only an
     accelerated method regularizes such a series.  ChebyshevAlternating
-    requires strictly alternating signs, in the real and the imaginary
-    part separately for complex terms; Euler accepts any sign pattern.
+    requires strictly alternating signs; Euler accepts any sign pattern.
+    A complex series is summed as two real series, of its real and of its
+    imaginary parts, with value complex(re, im) and estimate
+    hypot(re_est, im_est); one with no imaginary part is summed as real.
     """
     method = AccelerationMethod(method)
-    real = True
+    terms = list(terms)
     try:
-        terms = list(map(float, terms))
+        real, imag = list(map(float, terms)), []
     except TypeError:
-        # Complex terms with no imaginary part are summed as real ones.
-        terms = [complex(t) for t in terms]
-        real = not any(t.imag for t in terms)
-        if real:
-            terms = [t.real for t in terms]
+        terms = list(map(complex, terms))
+        real, imag = [t.real for t in terms], [t.imag for t in terms]
     if not terms:
         raise DomainError("empty term list")
     n = len(terms)
-
     if method is AccelerationMethod.NO_ACCELERATION:
-        est = abs(terms[-1])
-        if n >= 8 and est > 1.2 * abs(terms[n // 2]):
+        last = abs(terms[-1])
+        if n >= 8 and last > 1.2 * abs(terms[n // 2]):
             raise DivergenceError(
-                f"series terms grow (|term {n}| = {est:.3g} > 1.2 |term "
+                f"series terms grow (|term {n}| = {last:.3g} > 1.2 |term "
                 f"{n // 2 + 1}|); use an accelerated method")
-        value = math.fsum(terms) if real else sum(terms)
-        # fsum's and the terms' rounding; complex sum() rounds ~n times a part
-        est += (4.0 if real else 2.0 * n + 4.0) * _U * sum(map(abs, terms))
-    elif method is AccelerationMethod.EULER_TRANSFORM:
-        value, est = euler_average(list(accumulate(terms)))
-    elif real:
-        value, est = _cvz(terms)
-    else:
-        re, re_est = _cvz([t.real for t in terms])
-        im, im_est = _cvz([t.imag for t in terms])
-        value, est = complex(re, im), math.hypot(re_est, im_est)
+    value, est = _sum_real(real, method)
+    if any(imag):
+        im, im_est = _sum_real(imag, method)
+        value, est = complex(value, im), math.hypot(est, im_est)
     return ConvergenceReport(value, n, est, method)
+
+
+def _sum_real(terms, method):
+    """(value, error_estimate) of a list of real terms under `method`."""
+    if method is AccelerationMethod.NO_ACCELERATION:
+        # the last term, plus fsum's and the terms' rounding
+        return math.fsum(terms), abs(terms[-1]) + 4.0 * _U * sum(map(abs, terms))
+    if method is AccelerationMethod.EULER_TRANSFORM:
+        return euler_average(list(accumulate(terms)))
+    return _cvz(terms)

@@ -173,8 +173,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors (subcommands' too, since
+    subparsers take the parser's class) exit with EXIT_DOMAIN, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="omega-zeta",
         description="Zeta values from gamma products at roots of unity.",
     )

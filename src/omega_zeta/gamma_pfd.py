@@ -58,8 +58,8 @@ def modulus_product(a: float, z: complex, n_factors: int) -> complex:
 
 def _within_double_range(series):
     """`series`, with every way it leaves the double range (lgamma or exp
-    while the terms are built, CVZ's weight, an inf or nan sum) ended in
-    one readable OverflowError."""
+    while the terms are built, an inf or nan sum) ended in one readable
+    OverflowError.  CVZ's term limit is a DomainError and passes through."""
     @functools.wraps(series)
     def checked(*args, **kwargs):
         try:

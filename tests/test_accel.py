@@ -10,6 +10,7 @@ import pytest
 from omega_zeta import (
     AccelerationMethod,
     DivergenceError,
+    DomainError,
     SignPatternError,
     sum_alternating,
 )
@@ -78,19 +79,47 @@ def test_error_estimates_cover_truth():
 RE_PARTS = [(-1.0) ** n / (n + 1) for n in range(16)]
 IM_PARTS = [(-1.0) ** n * 0.5 / (n + 1) ** 2 for n in range(16)]
 COMPLEX_TERMS = [complex(r, i) for r, i in zip(RE_PARTS, IM_PARTS)]
+# A real first term, then complex ones: both parts still alternate.
+MIXED_TERMS = [1.0, -0.5 - 0.25j, 0.25 + 0.125j, -0.125 - 0.0625j]
 
 
 def test_complex_terms_plain_and_euler():
     rep = sum_alternating(COMPLEX_TERMS, NONE)
-    assert rep.value == sum(COMPLEX_TERMS)
-    # the last term, plus (2N + 4)u of sum |t| for recursive complex summation
-    assert rep.error_estimate == (abs(COMPLEX_TERMS[-1]) + 36.0 * 2.0 ** -53
-                                  * sum(map(abs, COMPLEX_TERMS)))
+    # fsum rounds each part's exact sum once
+    assert rep.value == complex(float(sum(map(Fraction, RE_PARTS))),
+                                float(sum(map(Fraction, IM_PARTS))))
+    # per part, the last term plus 4u of sum |t|, combined with hypot
+    u = 2.0 ** -53
+    assert rep.error_estimate == math.hypot(
+        abs(RE_PARTS[-1]) + 4.0 * u * sum(map(abs, RE_PARTS)),
+        abs(IM_PARTS[-1]) + 4.0 * u * sum(map(abs, IM_PARTS)))
     rep = sum_alternating(COMPLEX_TERMS, EULER)
-    value, est = euler_average(list(accumulate(COMPLEX_TERMS)))
-    assert (rep.value, rep.error_estimate) == (value, est)
     truth = complex(math.log(2), math.pi ** 2 / 24)
     assert abs(rep.value - truth) <= 5 * rep.error_estimate
+
+
+@pytest.mark.parametrize("terms", [COMPLEX_TERMS, MIXED_TERMS], ids=["complex", "mixed"])
+def test_euler_sums_a_complex_series_part_by_part(terms):
+    rep = sum_alternating(terms, EULER)
+    re = sum_alternating([complex(t).real for t in terms], EULER)
+    im = sum_alternating([complex(t).imag for t in terms], EULER)
+    assert rep.value == complex(re.value, im.value)
+    assert rep.error_estimate == math.hypot(re.error_estimate,
+                                            im.error_estimate)
+
+
+@pytest.mark.parametrize("method", list(AccelerationMethod))
+def test_complex_terms_with_no_imaginary_part_sum_as_real(method):
+    rep = sum_alternating([complex(t) for t in RE_PARTS], method)
+    assert type(rep.value) is float
+    assert rep == sum_alternating(RE_PARTS, method)
+
+
+@pytest.mark.parametrize("terms", [RE_PARTS, COMPLEX_TERMS, MIXED_TERMS],
+                         ids=["real", "complex", "mixed"])
+@pytest.mark.parametrize("method", list(AccelerationMethod))
+def test_iterator_of_terms_sums_like_a_list(terms, method):
+    assert sum_alternating(iter(terms), method) == sum_alternating(terms, method)
 
 
 def test_complex_terms_cvz_sums_each_part():
@@ -143,6 +172,15 @@ def _series(kind, n):
     return [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3, 3) for _ in range(n)]
 
 
+def _real_series(kind, n):
+    """The real series of `kind`, a complex one as its two parts: Euler
+    takes only real sums, and sum_alternating sums a complex series so."""
+    terms = _series(kind, n)
+    if kind != "complex":
+        return [terms]
+    return [[t.real for t in terms], [t.imag for t in terms]]
+
+
 def _exact_mean(sums):
     n = len(sums) - 1
     return sum(math.comb(n, k) * s for k, s in enumerate(sums)) / 2 ** n
@@ -151,12 +189,13 @@ def _exact_mean(sums):
 @pytest.mark.parametrize("kind", ["real", "complex", "divergent"])
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 256])
 def test_euler_closed_form_matches_triangle(kind, n):
-    sums = list(accumulate(_series(kind, n)))
-    value, est = euler_average(sums)
-    ref_value, ref_est = euler_triangle(sums)
-    ulps = 4 * math.ulp(max(abs(s) for s in sums))
-    assert abs(value - ref_value) <= ulps
-    assert est >= ref_est - 2 * ulps
+    for terms in _real_series(kind, n):
+        sums = list(accumulate(terms))
+        value, est = euler_average(sums)
+        ref_value, ref_est = euler_triangle(sums)
+        ulps = 4 * math.ulp(max(abs(s) for s in sums))
+        assert abs(value - ref_value) <= ulps
+        assert est >= ref_est - 2 * ulps
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "divergent", "random"])
@@ -164,30 +203,18 @@ def test_euler_closed_form_matches_triangle(kind, n):
 def test_euler_rounding_bound_holds_exactly(kind, n):
     # n = 1100 takes the outer weights C(1099, k)/2^1099 below the normal
     # range, down to 0.0.
-    terms = _series(kind, n)
-    sums = list(accumulate(terms))
-    value, est = euler_average(sums)
-    last, rounding = _binomial_mean(_binomial_weights(n - 1), sums)
-    prev, _ = _binomial_mean(_binomial_weights(n - 2), sums[:-1])
-    assert (value, est) == (last, abs(last - prev) + rounding)
-
-    def gap(exact_re, exact_im):
-        v = complex(value)
-        return math.hypot(float(Fraction(v.real) - exact_re),
-                          float(Fraction(v.imag) - exact_im))
-
-    def parts(xs):
-        return ([Fraction(complex(x).real) for x in xs],
-                [Fraction(complex(x).imag) for x in xs])
-
-    # The Euler sum of the float partial sums as given ...
-    given_re, given_im = parts(sums)
-    assert gap(_exact_mean(given_re), _exact_mean(given_im)) <= rounding
-    # ... and of the exact partial sums of the float terms.
-    t_re, t_im = parts(terms)
-    exact_re = _exact_mean(list(accumulate(t_re)))
-    exact_im = _exact_mean(list(accumulate(t_im)))
-    assert gap(exact_re, exact_im) <= rounding
+    for terms in _real_series(kind, n):
+        sums = list(accumulate(terms))
+        value, est = euler_average(sums)
+        last, rounding = _binomial_mean(_binomial_weights(n - 1), sums)
+        prev, _ = _binomial_mean(_binomial_weights(n - 2), sums[:-1])
+        assert (value, est) == (last, abs(last - prev) + rounding)
+        # The Euler sum of the float partial sums as given ...
+        given = _exact_mean(list(map(Fraction, sums)))
+        assert abs(Fraction(value) - given) <= rounding
+        # ... and of the exact partial sums of the float terms.
+        exact = _exact_mean(list(accumulate(map(Fraction, terms))))
+        assert abs(Fraction(value) - exact) <= rounding
 
 
 def test_binomial_weights_cache_returns_the_same_tuple_bits():
@@ -256,21 +283,9 @@ def test_cvz_weights_cache_returns_the_same_tuple_bits():
 
 
 def test_cvz_past_the_double_range_is_a_readable_overflow():
-    with pytest.raises(OverflowError, match="at most 402 terms, got 403"):
+    # N > 402 is outside CVZ's domain, not an overflow of the series.
+    with pytest.raises(DomainError, match="at most 402 terms, got 403"):
         sum_alternating([(-1.0) ** k / (k + 1) for k in range(403)], CVZ)
-
-
-@pytest.mark.parametrize("sums", [
-    list(accumulate(COMPLEX_TERMS)),
-    [1.0, 0.5 + 0.25j, 0.75, 0.625],  # complex only in the middle
-], ids=["complex", "mixed"])
-def test_euler_takes_the_complex_branch(sums):
-    value, est = euler_average(sums)
-    assert type(value) is complex
-    re, _ = euler_average([complex(s).real for s in sums])
-    im, _ = euler_average([complex(s).imag for s in sums])
-    assert value == complex(re, im)
-    assert est > 0.0
 
 
 @pytest.mark.parametrize("n", [2, 17, 256])

@@ -40,6 +40,25 @@ def test_bad_complex_argument_exit_code():
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("zeta", "abc"),
+    ("zeta",),
+    ("zeta", "3", "--method", "bogus"),
+], ids=["bad-int", "missing-m", "bad-method"])
+def test_parse_error_exit_code(argv):
+    # Exit 2 means divergence; a bad command line is a domain/parse error.
+    proc = run_cli(*argv)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("usage: omega-zeta zeta")
+    assert "error: omega-zeta zeta: " in proc.stderr
+
+
+def test_help_exits_zero():
+    proc = run_cli("zeta", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: omega-zeta zeta")
+
+
 def test_phi_pole_exit_code():
     proc = run_cli("phi", "2", "--z", "1.0,0.0")
     assert proc.returncode == 3
@@ -259,7 +278,8 @@ def test_zeta_value_matches_pi_squared_over_six():
 @pytest.mark.parametrize("argv", [
     ("zeta", "2", "--terms", "403", "--method", "cvz"),
     ("zeta3", "--variant", "sine", "--terms", "403", "--method", "cvz"),
-], ids=["zeta", "zeta3-sine"])
+    ("gamma-pfd", "--a", "1.5", "--z", "0.3,0", "--terms", "403", "--method", "cvz"),
+], ids=["zeta", "zeta3-sine", "gamma-pfd"])
 def test_cvz_past_its_double_range_names_the_limit(argv):
     # (3 + sqrt 8)^N, CVZ's scale, overflows a double from N = 403.
     proc = run_cli(*argv)
