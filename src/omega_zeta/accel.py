@@ -3,11 +3,12 @@
 Two schemes are provided on top of plain summation:
 
 * Euler transform, computed in O(N) as the binomial-weighted mean
-  sum_k C(N-1,k) S_k / 2^(N-1) of the partial sums S_k.  Finite
+  sum_k C(N-1,k) S_k / 2^(N-1) of the partial sums S_k, summed over the
+  O(sqrt N) weights that can reach a double result.  Finite
   differencing annihilates polynomial term growth, so this also
   regularizes alternating series that diverge classically.  Its error
   estimate includes a bound on the rounding error of the partial sums
-  and of the weighted mean.
+  and of the weighted mean, and on the weights left out.
 * The Chebyshev-polynomial scheme of Cohen, Rodriguez Villegas and
   Zagier, which converges like (3 + sqrt(8))^-N for well-behaved
   alternating series.
@@ -15,11 +16,13 @@ Two schemes are provided on top of plain summation:
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from typing import Iterator
 
@@ -34,6 +37,7 @@ __all__ = [
 _U = 2.0 ** -53  # unit roundoff of round to nearest
 _TINY = 2.0 ** -1074  # smallest subnormal: twice the error of an underflow
 _CVZ_MAX_N = 402  # the largest N with (3 + sqrt 8)^N below the double range
+_CUT = 106  # Euler weights below u^2 = 2^-_CUT stay out of its sums (euler_average)
 
 
 class AccelerationMethod(Enum):
@@ -110,68 +114,99 @@ def euler_average(values):
     the same mean of the first N-1 sums (the entry one averaging step
     earlier).  A single sum is its own limit, with estimate |S_0|.
 
-    Rounding is bounded a posteriori and added to the estimate.  With
-    u = 2^-53, each rounding to nearest returns x' with |x' - x| <= u|x'|
-    (Higham, Accuracy and Stability, 2nd ed., (2.5)), plus at most
-    2^-1075 where the result underflows.  For real sums, with weights
-    w_k = C(N-1,k)/2^(N-1) > 0 summing to 1:
+    Both means are summed over one window of weights, the k = lo .. N-1-lo
+    with w_k = C(N-1,k)/2^(N-1) >= u^2 = 2^-106 (u = 2^-53, _CUT = 106): a
+    smaller weight cannot reach a double result that has not cancelled to
+    within a few u of its sums.  The weights follow a normal density of
+    variance (N-1)/4 closely, so the window holds about
+    sqrt(2 ln 2 _CUT (N-1)), some 12 sqrt(N), of them: all of them up to
+    N = 107, 374 of 1024 and 750 of 4096.  Below lo the weights fall at
+    least geometrically, w_(k-1)/w_k <= r = (lo-1)/(N-lo+1), so the 2 lo
+    weights left out weigh m <= 2 w_(lo-1)/(1-r), a few u^2.  The products
+    they would have made sum to at most m max|S_k| <= D = m A_(N-1) (A_k
+    below), and D goes into the bound in full, so the estimate stays a
+    bound.  D is a few u^2 A_(N-1), a few u of the u sum_k w_k A_k that the
+    bound already holds while the sums grow no faster than a power of k.
+    The mean itself moves only where the full and the windowed exact sums
+    round apart, which needs a mean within a few u max|S_k| of zero.
+
+    Rounding is bounded a posteriori and added to the estimate.  Each
+    rounding to nearest returns x' with |x' - x| <= u|x'| (Higham,
+    Accuracy and Stability, 2nd ed., (2.5)), plus at most 2^-1075 where
+    the result underflows.  For real sums, with W the window:
 
     * the sums come from recursive summation, S'_k = fl(S'_(k-1) + t_k),
       so |S'_k - S_k| <= u A_k with A_k = sum_(i<=k) |S'_i| (Higham
-      section 4.2); through the mean this is at most u sum_k w_k A_k;
+      section 4.2); through the mean this is at most u sum_(k in W) w_k A_k;
     * each weight w'_k = c_k / 2^(N-1) is one correctly rounded division
       of exact integers: |w'_k - w_k| <= u w'_k, and w'_k |S'_k| is at
       most (1+u)|p_k| for the product p_k = fl(w'_k S'_k);
     * each product: |p_k - w'_k S'_k| <= u |p_k|;
     * math.fsum rounds the sum of the p_k correctly: the error is at most
-      u |last|.
+      u |last|;
+    * the sums left out add sum_(k not in W) w_k |S_k|, at most
+      m (max|S'_k| + u A_(N-1)) <= (1+u) D.
 
     Together |last - sum_k w_k S_k| is at most
 
-        u (|last| + (2+u) sum_k |p_k| + sum_k w_k A_k)
-          + 2^-1075 (2N + 1 + A_(N-1)).
+        u (|last| + (2+u) sum_(k in W) |p_k| + sum_(k in W) w_k A_k)
+          + (1+u) D + 2^-1075 (2N + 1 + A_(N-1)).
 
-    The code doubles every coefficient, which covers the u^2 term and the
-    roundings made in evaluating the bound itself: its sums of
-    nonnegative numbers (the A_k, sum_k |p_k| and sum_k w_k A_k) are plain
+    The code doubles every coefficient, which covers the u^2 and u D terms
+    and the roundings made in evaluating the bound itself: its sums of
+    nonnegative numbers (the A_k, sum |p_k| and sum w_k A_k) are plain
     recursive sums, within a factor 1 + 2Nu of exact, far below 2 for
-    any N that fits in memory.  The rounding of prev only perturbs the
-    truncation estimate, so prev is the fsum of its products alone, the
-    same float as its binomial mean.
+    any N that fits in memory.  Summed over every weight, the bound would
+    hold 2u (2|p_k| + w_k A_k) for each k left out, in all at most
+    2u m (3 max|S'_k| + A_(N-1)) <= 8u D, which 2D covers: the window never
+    makes the bound smaller.  The rounding of prev only perturbs the
+    truncation estimate, so prev is the fsum of its window's products
+    alone, the same float as its binomial mean, and only 2 m' A_(N-1), for
+    the mass m' its own window leaves out, joins the estimate.
     """
     values = list(values)
     n = len(values)
     if n == 1:
         return values[0], abs(values[0])
-    last, rounding = _binomial_mean(_binomial_weights(n - 1), values)
-    weights = _binomial_weights(n - 2)  # map stops after the first n - 1 sums
-    prev = math.fsum(map(operator.mul, weights, values))
-    return last, abs(last - prev) + rounding
+    last, rounding, total = _binomial_mean(values)
+    lo, weights, mass = _binomial_weights(n - 2)
+    prev = math.fsum(map(operator.mul, weights, values[lo:]))
+    return last, abs(last - prev) + 2.0 * mass * total + rounding
 
 
 @lru_cache(maxsize=None)
 def _binomial_weights(n):
-    """C(n,k) / 2^n for k = 0..n, each rounded once from exact integers.
+    """(lo, weights, m): the weights C(n,k) / 2^n >= 2^-_CUT, k = lo .. n - lo,
+    each rounded once from exact integers, and a bound m on the mass of the
+    2 lo weights left out (see euler_average).
 
-    A tuple, since the cache hands the same object to every caller."""
+    The weights are a tuple, since the cache hands the same object to every
+    caller."""
+    floor = 1 << max(n - _CUT, 0)
+    lo = bisect_left(range(n // 2 + 1), floor, key=partial(math.comb, n))
     scale = 1 << n
-    c = 1
+    c = math.comb(n, lo)
+    # 2 C(n,lo-1) / (1 - r) with r = (lo-1)/(n-lo+2), C(n,lo-1) = c lo/(n-lo+1)
+    mass = 2 * c * lo * (n - lo + 2) / ((n - lo + 1) * (n - 2 * lo + 3) * scale)
     weights = []
-    for k in range(n + 1):
+    for k in range(lo, n - lo + 1):
         weights.append(c / scale)
         c = c * (n - k) // (k + 1)
-    return tuple(weights)
+    return lo, tuple(weights), mass
 
 
-def _binomial_mean(weights, sums):
-    """(sum_k w_k s_k, rounding bound) as derived in euler_average."""
-    products = list(map(operator.mul, weights, sums))
+def _binomial_mean(sums):
+    """(sum_k w_k s_k, rounding bound, A_n = sum_k |s_k|) as derived in
+    euler_average, with 2D = 2 m A_n in the bound."""
+    lo, weights, mass = _binomial_weights(len(sums) - 1)
+    products = list(map(operator.mul, weights, sums[lo:]))
     mean = math.fsum(products)
     running = list(accumulate(map(abs, sums)))
-    drift = sum(map(operator.mul, weights, running))
+    total = running[-1]
+    drift = sum(map(operator.mul, weights, running[lo:]))
     bound = (2.0 * _U * (abs(mean) + 2.0 * sum(map(abs, products)) + drift)
-             + _TINY * (2 * len(sums) + 1 + running[-1]))
-    return mean, bound
+             + 2.0 * mass * total + _TINY * (2 * len(sums) + 1 + total))
+    return mean, bound, total
 
 
 @lru_cache(maxsize=None)
@@ -225,6 +260,9 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
     A complex series is summed as two real series, of its real and of its
     imaginary parts, with value complex(re, im) and estimate
     hypot(re_est, im_est); one with no imaginary part is summed as real.
+    A term that is not finite raises DomainError, and a value or estimate
+    that leaves the double range raises OverflowError; the terms are only
+    looked at once the sum has failed.
     """
     method = AccelerationMethod(method)
     terms = list(terms)
@@ -236,17 +274,34 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
     if not terms:
         raise DomainError("empty term list")
     n = len(terms)
-    if method is AccelerationMethod.NO_ACCELERATION:
-        last = abs(terms[-1])
-        if n >= 8 and last > 1.2 * abs(terms[n // 2]):
-            raise DivergenceError(
-                f"series terms grow (|term {n}| = {last:.3g} > 1.2 |term "
-                f"{n // 2 + 1}|); use an accelerated method")
-    value, est = _sum_real(real, method)
-    if any(imag):
-        im, im_est = _sum_real(imag, method)
-        value, est = complex(value, im), math.hypot(est, im_est)
-    return ConvergenceReport(value, n, est, method)
+    try:
+        if method is AccelerationMethod.NO_ACCELERATION:
+            last = abs(terms[-1])  # an inf last term is not growth: see below
+            if n >= 8 and math.inf > last > 1.2 * abs(terms[n // 2]):
+                raise DivergenceError(
+                    f"series terms grow (|term {n}| = {last:.3g} > 1.2 |term "
+                    f"{n // 2 + 1}|); use an accelerated method")
+        value, est = _sum_real(real, method)
+        if any(imag):
+            im, im_est = _sum_real(imag, method)
+            value, est = complex(value, im), math.hypot(est, im_est)
+        if cmath.isfinite(value) and math.isfinite(est):
+            return ConvergenceReport(value, n, est, method)
+    except (OverflowError, ValueError):  # fsum past the double range or at
+        pass                             # inf - inf, abs of a huge complex
+    except SignPatternError:  # a nan has no sign for CVZ to alternate
+        _require_finite(terms)
+        raise
+    _require_finite(terms)
+    raise OverflowError(f"sum_alternating: the {method.value} sum of {n} terms "
+                        "or its estimate exceeds double range")
+
+
+def _require_finite(terms):
+    """DomainError naming the first term that is inf or nan, if any."""
+    for k, t in enumerate(terms, 1):
+        if not cmath.isfinite(t):
+            raise DomainError(f"term {k} is {t}: terms must be finite")
 
 
 def _sum_real(terms, method):

@@ -56,10 +56,23 @@ def modulus_product(a: float, z: complex, n_factors: int) -> complex:
     return cmath.exp(log_prod + tail)
 
 
+def _sum_own_terms(terms, method):
+    """sum_alternating over terms built here from finite inputs, where a term
+    that is not finite can only be an overflow (a product past the double
+    range, or inf times 0 in complex arithmetic): it raises OverflowError."""
+    try:
+        return sum_alternating(terms, method)
+    except DomainError:
+        if all(map(cmath.isfinite, terms)):
+            raise
+    raise OverflowError("a term exceeds double range")
+
+
 def _within_double_range(series):
     """`series`, with every way it leaves the double range (lgamma or exp
-    while the terms are built, an inf or nan sum) ended in one readable
-    OverflowError.  CVZ's term limit is a DomainError and passes through."""
+    while the terms are built, an inf or nan term or sum) ended in one
+    readable OverflowError.  CVZ's term limit is a DomainError and passes
+    through."""
     @functools.wraps(series)
     def checked(*args, **kwargs):
         try:
@@ -137,7 +150,7 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
         # CVZ would reject the all-zero terms as not alternating.
         report = ConvergenceReport(0.0, n_terms, 0.0, method)
     else:
-        report = sum_alternating(terms[k:], method)
+        report = _sum_own_terms(terms[k:], method)
         report.terms_used = n_terms
     report.value = ga2 + head + report.value
     return report
@@ -168,4 +181,4 @@ def inverse_square_series(q: float, n_terms: int,
                                   1, n_terms)
     terms = [(2.0 if n % 2 else -2.0) * math.exp(log_mag)
              for n, log_mag in enumerate(log_mags, 1)]
-    return sum_alternating(terms, method)
+    return _sum_own_terms(terms, method)

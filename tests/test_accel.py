@@ -206,9 +206,10 @@ def test_euler_rounding_bound_holds_exactly(kind, n):
     for terms in _real_series(kind, n):
         sums = list(accumulate(terms))
         value, est = euler_average(sums)
-        last, rounding = _binomial_mean(_binomial_weights(n - 1), sums)
-        prev, _ = _binomial_mean(_binomial_weights(n - 2), sums[:-1])
-        assert (value, est) == (last, abs(last - prev) + rounding)
+        last, rounding, total = _binomial_mean(sums)
+        prev = _binomial_mean(sums[:-1])[0]
+        mass = _binomial_weights(n - 2)[2]
+        assert (value, est) == (last, abs(last - prev) + 2.0 * mass * total + rounding)
         # The Euler sum of the float partial sums as given ...
         given = _exact_mean(list(map(Fraction, sums)))
         assert abs(Fraction(value) - given) <= rounding
@@ -219,10 +220,75 @@ def test_euler_rounding_bound_holds_exactly(kind, n):
 
 def test_binomial_weights_cache_returns_the_same_tuple_bits():
     grid = (0, 1, 2, 17, 256, 1100)
-    before = [[w.hex() for w in _binomial_weights(n)] for n in grid]
-    assert all(type(_binomial_weights(n)) is tuple for n in grid)
+
+    def bits(n):
+        lo, weights, mass = _binomial_weights(n)
+        return lo, [w.hex() for w in weights], mass.hex()
+
+    before = [bits(n) for n in grid]
+    assert all(type(_binomial_weights(n)[1]) is tuple for n in grid)
     _binomial_weights.cache_clear()
-    assert [[w.hex() for w in _binomial_weights(n)] for n in grid] == before
+    assert [bits(n) for n in grid] == before
+
+
+def _euler_full(values):
+    """The Euler transform as one fsum over all N binomial weights, the form
+    the window replaced, kept here to pin its values and estimates."""
+    u, tiny = 2.0 ** -53, 2.0 ** -1074
+
+    def weights(n):
+        scale, c, out = 1 << n, 1, []
+        for k in range(n + 1):
+            out.append(c / scale)
+            c = c * (n - k) // (k + 1)
+        return out
+
+    def mean(w, sums):
+        products = list(map(operator.mul, w, sums))
+        total = math.fsum(products)
+        running = list(accumulate(map(abs, sums)))
+        drift = sum(map(operator.mul, w, running))
+        return total, (2.0 * u * (abs(total) + 2.0 * sum(map(abs, products)) + drift)
+                       + tiny * (2 * len(sums) + 1 + running[-1]))
+
+    n = len(values)
+    if n == 1:
+        return values[0], abs(values[0])
+    last, rounding = mean(weights(n - 1), values)
+    prev = math.fsum(map(operator.mul, weights(n - 2), values))
+    return last, abs(last - prev) + rounding
+
+
+def _window_families(n):
+    yield "convergent", [(-1.0) ** k / (k + 1) for k in range(n)]
+    for p in (1, 2.5):
+        yield f"k^{p}", [(-1.0) ** k * (k + 1) ** p for k in range(n)]
+    # from k = 54 on the terms underflow to +-0.0
+    yield "underflow", [(-1.0) ** k * 2.0 ** (-20 * k) for k in range(n)]
+    re, im = _real_series("complex", n)
+    yield "complex-re", re
+    yield "complex-im", im
+
+
+@pytest.mark.parametrize("n", [2, 17, 64, 127, 128, 256, 512, 1024, 1100, 4096])
+def test_euler_window_matches_the_full_sum(n):
+    for name, terms in _window_families(n):
+        sums = list(accumulate(terms))
+        value, est = euler_average(sums)
+        ref, ref_est = _euler_full(sums)
+        assert value.hex() == ref.hex(), name
+        assert est >= ref_est, name
+
+
+def test_euler_window_holds_order_sqrt_n_weights():
+    n = 4095
+    lo, weights, mass = _binomial_weights(n)
+    assert len(weights) == n + 1 - 2 * lo <= 12 * math.sqrt(n + 1)
+    # the window is the weights >= u^2; those left out weigh a few u^2
+    assert min(weights) >= 2.0 ** -106 > math.comb(n, lo - 1) / 2 ** n
+    exact = 2 * sum(Fraction(math.comb(n, k), 2 ** n) for k in range(lo))
+    assert exact <= mass <= 8 * 2.0 ** -106
+    assert len(_binomial_weights(106)[1]) == 107  # every weight up to N = 107
 
 
 def _cvz_loop(terms):
@@ -295,3 +361,22 @@ def test_euler_estimate_is_never_zero(n):
     for terms in ([1.0] + [0.0] * (n - 1), _series("divergent", n)):
         assert sum_alternating(terms, EULER).error_estimate > 0.0
     assert euler_average([1e-300] * n)[1] > 0.0
+
+
+@pytest.mark.parametrize("method", list(AccelerationMethod))
+@pytest.mark.parametrize("terms,error", [
+    ([1.0, -math.inf, 0.5], DomainError),
+    ([1.0, math.nan, 0.5], DomainError),
+    ([1e308, -1e308, 1e308, -1e308], OverflowError),
+    ([1e308] * 3, OverflowError),
+    ([(-1.0) ** k for k in range(8)] + [math.inf], DomainError),
+], ids=["minus-inf", "nan", "alternating-huge", "fsum-overflow", "last-inf"])
+def test_non_finite_sums_raise_typed_errors(terms, error, method):
+    if error is OverflowError and method is CVZ and terms[1] > 0:
+        error = SignPatternError  # these terms do not alternate
+    match = {DomainError: "must be finite", OverflowError: "exceeds double range",
+             SignPatternError: "alternate"}[error]
+    with pytest.raises(error, match=match):
+        sum_alternating(terms, method)
+    with pytest.raises(error, match=match):
+        sum_alternating([complex(t, t / 2) for t in terms], method)

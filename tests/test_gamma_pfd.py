@@ -92,17 +92,29 @@ def test_series_huge_a_overflows_readably():
                 gamma_pfd_series(a, 0.1, 16, method)
 
 
+@pytest.mark.parametrize("a,z", [(81.08, 5.0), (81.392, 0.3), (81.392, 0.3 + 0.2j)])
+@pytest.mark.parametrize("method", [EULER, CVZ])
+def test_series_term_past_double_range_overflows_readably(a, z, method):
+    # exp(log|c_15|) is finite, but twice it is inf, and inf times the
+    # complex z^2 leaves a nan part: sum_alternating calls such a term a
+    # DomainError, and the series, whose inputs were finite, an overflow.
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        gamma_pfd_series(a, z, 16, method)
+
+
 @pytest.mark.parametrize("q,method", [
     pytest.param(500.0, EULER, id="500.0"),
     pytest.param(1e20, EULER, id="1e+20"),
     pytest.param(1e308, EULER, id="1e+308"),
     pytest.param(460.0, CVZ, id="460.0-cvz"),
     pytest.param(469.0, EULER, id="469.0-euler"),
+    pytest.param(469.0, NONE, id="469.0-none"),
 ])
 def test_inverse_square_huge_q_overflows_readably(q, method):
     # A term's exp overflows from q near 469, lgamma itself near 1e305,
     # and -4q is -inf at 1e308.  CVZ's weighted sum of finite terms
     # overflows to nan from q near 454, and at 469 Euler's sums reach inf.
+    # There the last term is -inf, which `none` must not read as growth.
     with pytest.raises(OverflowError, match="exceeds double range"):
         inverse_square_series(q, 16, method)
 
