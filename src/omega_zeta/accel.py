@@ -20,11 +20,9 @@ import cmath
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
-from typing import Iterator
 
 from .errors import DivergenceError, DomainError, SignPatternError
 
@@ -51,14 +49,40 @@ class AccelerationMethod(Enum):
         raise DomainError(f"unknown method {value!r}; use one of {names}")
 
 
-@dataclass
-class ConvergenceReport:
+class _Record:
+    """`==` and `repr` over the fields `__init__` sets, as in a dataclass."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A hashable _Record whose `__init__` sets its fields in `vars(self)`."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+
+class ConvergenceReport(_Record):
     """Result of a series evaluation."""
 
-    value: float
-    terms_used: int
-    error_estimate: float
-    method: AccelerationMethod
+    def __init__(self, value: float, terms_used: int, error_estimate: float,
+                 method: AccelerationMethod):
+        self.value = value
+        self.terms_used = terms_used
+        self.error_estimate = error_estimate
+        self.method = method
 
 
 def log_hypergeometric(start: float, factors, first: int,

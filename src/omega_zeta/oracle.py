@@ -8,17 +8,14 @@ cross-checks against it are not circular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .accel import AccelerationMethod
+from .accel import AccelerationMethod, _Record
 from .errors import DomainError
 from .special import _BERNOULLI
 
 __all__ = ["PrecisionConfig", "zeta_oracle", "tail_power_sum"]
 
 
-@dataclass
-class PrecisionConfig:
+class PrecisionConfig(_Record):
     """Truncation and acceleration settings for series evaluations.
 
     Only `max_terms` and `method` are read.  `target_abs_error` and
@@ -26,17 +23,17 @@ class PrecisionConfig:
     passes them by keyword.
     """
 
-    max_terms: int = 64
-    target_abs_error: float = 1e-12
-    method: str = "cvz"  # one of "none", "euler", "cvz"
-    trace_enabled: bool = True
-
-    def __post_init__(self):
-        if self.max_terms < 1:
+    def __init__(self, max_terms: int = 64, target_abs_error: float = 1e-12,
+                 method: str = "cvz", trace_enabled: bool = True):
+        self.max_terms = max_terms
+        self.target_abs_error = target_abs_error
+        self.method = method  # one of "none", "euler", "cvz"
+        self.trace_enabled = trace_enabled
+        if max_terms < 1:
             raise DomainError("max_terms must be >= 1")
-        if self.target_abs_error <= 0:
+        if target_abs_error <= 0:
             raise DomainError("target_abs_error must be > 0")
-        AccelerationMethod(self.method)
+        AccelerationMethod(method)
 
 
 def _add_bernoulli_corrections(total: float, s: int, n: int) -> float:

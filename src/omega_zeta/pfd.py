@@ -10,8 +10,7 @@ and the coefficients sum to zero for n >= 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .accel import _FrozenRecord
 from .errors import DegenerateNodesError, DomainError, PoleError
 
 __all__ = ["PfdResult", "pfd_coefficients", "pfd_residual"]
@@ -19,10 +18,9 @@ __all__ = ["PfdResult", "pfd_coefficients", "pfd_residual"]
 _SEPARATION_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PfdResult:
-    nodes: tuple
-    coefficients: tuple
+class PfdResult(_FrozenRecord):
+    def __init__(self, nodes: tuple, coefficients: tuple):
+        vars(self).update(nodes=nodes, coefficients=coefficients)
 
 
 def pfd_coefficients(a) -> PfdResult:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 
 from . import (
     AccelerationMethod,
@@ -41,21 +40,17 @@ from . import (
     zeta_term,
     zeta_via_series,
 )
+from .accel import _FrozenRecord
 
 __all__ = ["CheckResult", "run_suite", "SUITE_NAMES"]
-
-SUITE_NAMES = ("pfd", "phi", "zeta", "gamma", "zeta3", "oracle")
 
 _SQRT3 = math.sqrt(3.0)
 _ZETA3 = 1.2020569031595942854
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(_FrozenRecord):
+    def __init__(self, suite: str, name: str, passed: bool, detail: str = ""):
+        vars(self).update(suite=suite, name=name, passed=passed, detail=detail)
 
 
 def _check(results, suite, name, worst, bound):
@@ -331,23 +326,21 @@ def _suite_zeta3():
     return res
 
 
-_SUITES = {
-    "oracle": _suite_oracle,
+_SUITES = {  # in the order that run_suite("all") runs them
     "pfd": _suite_pfd,
     "phi": _suite_phi,
     "zeta": _suite_zeta,
     "gamma": _suite_gamma,
     "zeta3": _suite_zeta3,
+    "oracle": _suite_oracle,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str):
     """Run one named suite (or 'all'); returns a list of CheckResult."""
     if name == "all":
-        out = []
-        for suite in SUITE_NAMES:
-            out.extend(_SUITES[suite]())
-        return out
+        return [result for suite in _SUITES.values() for result in suite()]
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}")
     return _SUITES[name]()

@@ -9,6 +9,7 @@ import pytest
 
 from omega_zeta import (
     AccelerationMethod,
+    ConvergenceReport,
     DivergenceError,
     DomainError,
     SignPatternError,
@@ -37,6 +38,18 @@ def test_alternating_harmonic_euler():
     terms = [(-1.0) ** (n - 1) / n for n in range(1, 31)]
     rep = sum_alternating(terms, EULER)
     assert abs(rep.value - math.log(2)) < 1e-9
+
+
+def test_convergence_report_compares_by_value_and_takes_assignment():
+    report = ConvergenceReport(1.5, 4, 1e-9, EULER)
+    assert report == ConvergenceReport(1.5, 4, 1e-9, EULER)
+    assert report != ConvergenceReport(1.5, 4, 1e-9, CVZ)
+    assert report != (1.5, 4, 1e-9, EULER)
+    assert repr(report) == ("ConvergenceReport(value=1.5, terms_used=4,"
+                            " error_estimate=1e-09, method=" + repr(EULER) + ")")
+    report.terms_used = 8
+    report.value = 2.5
+    assert report == ConvergenceReport(2.5, 8, 1e-9, EULER)
 
 
 def test_single_term_no_acceleration():

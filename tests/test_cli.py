@@ -1,8 +1,11 @@
+import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +150,59 @@ def test_negative_complex_value_as_separate_token():
         joined = stripped(run_cli(*cmd, "--z=-0.5,0.1"))
         assert spaced == joined
         assert spaced["inputs"]["z"] == "-0.5,0.1"
+
+
+def test_negative_a_in_exponent_form_as_separate_token():
+    # argparse reads "-2.5e-1" as an option string: its negative-number
+    # pattern has no exponent.
+    records = []
+    for a in (("--a", "-2.5e-1"), ("--a=-0.25",)):
+        proc = run_cli("gamma-pfd", *a, "--z", "0.3,0")
+        assert proc.returncode == 0, proc.stderr
+        (rec,) = json_records(proc)
+        rec.pop("elapsed_ms")
+        records.append(rec)
+    assert records[0] == records[1]
+    assert records[0]["inputs"]["a"] == -0.25
+
+
+def test_verify_suite_choices_are_the_suites():
+    from omega_zeta import verify
+    from omega_zeta.cli import build_parser
+
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (suite,) = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+    assert tuple(suite.choices) == ("all",) + verify.SUITE_NAMES
+
+
+def test_check_result_fields_and_default_detail():
+    from omega_zeta.verify import CheckResult
+
+    result = CheckResult("pfd", "coefficients sum to zero", True)
+    assert (result.suite, result.name, result.passed, result.detail) == (
+        "pfd", "coefficients sum to zero", True, "")
+    assert result == CheckResult("pfd", "coefficients sum to zero", True, "")
+    assert result != CheckResult("pfd", "coefficients sum to zero", False)
+    assert repr(result) == ("CheckResult(suite='pfd', name='coefficients sum to"
+                            " zero', passed=True, detail='')")
+    with pytest.raises(AttributeError):
+        result.passed = False
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("omega_zeta.cli", ("dataclasses", "inspect", "typing", "omega_zeta.verify")),
+    ("omega_zeta", ("dataclasses",)),
+])
+def test_import_loads_no_unneeded_modules(module, absent):
+    # -S keeps the imports of site's .pth files out of sys.modules.
+    code = (f"import sys, {module}; "
+            f"print(*(m for m in {absent!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_zero_terms_is_a_typed_domain_error():

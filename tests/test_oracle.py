@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
-from omega_zeta import PrecisionConfig, tail_power_sum, zeta_oracle
+from omega_zeta import DomainError, PrecisionConfig, tail_power_sum, zeta_oracle
 
 mp.mp.dps = 40
 
@@ -45,5 +45,30 @@ def test_tail_power_sum_consistency_with_oracle():
 def test_precision_config_defaults():
     config = PrecisionConfig()
     assert config.max_terms == 64
+    assert config.target_abs_error == 1e-12
     assert config.method == "cvz"
     assert config.trace_enabled
+    assert config == PrecisionConfig(64, 1e-12, "cvz", True)
+    assert repr(config) == ("PrecisionConfig(max_terms=64, target_abs_error=1e-12,"
+                            " method='cvz', trace_enabled=True)")
+
+
+def test_precision_config_by_keyword():
+    # perfbench/worker.py passes target_abs_error and trace_enabled.
+    config = PrecisionConfig(max_terms=8, target_abs_error=1e-6,
+                             method="euler", trace_enabled=False)
+    assert (config.max_terms, config.target_abs_error, config.method,
+            config.trace_enabled) == (8, 1e-6, "euler", False)
+    assert config != PrecisionConfig(max_terms=8, target_abs_error=1e-6,
+                                     method="euler")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_terms": 0}, "max_terms must be >= 1"),
+    ({"target_abs_error": 0.0}, "target_abs_error must be > 0"),
+    ({"target_abs_error": -1e-9}, "target_abs_error must be > 0"),
+    ({"method": "bogus"}, "unknown method 'bogus'"),
+])
+def test_precision_config_rejects_bad_settings(kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        PrecisionConfig(**kwargs)

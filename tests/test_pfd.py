@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from omega_zeta import DegenerateNodesError, PoleError, pfd_coefficients, pfd_residual
+from omega_zeta import (DegenerateNodesError, PfdResult, PoleError, pfd_coefficients,
+                        pfd_residual)
 
 
 def test_two_nodes():
@@ -17,6 +18,20 @@ def test_three_nodes_explicit():
     assert abs(mu[1] + 1 / 2) < 1e-15
     assert abs(mu[2] - 1 / 6) < 1e-15
     assert abs(sum(mu)) < 1e-15
+
+
+def test_result_compares_by_value_and_is_immutable():
+    result = pfd_coefficients([1.0, 2.0])
+    assert result == PfdResult(((1 + 0j), (2 + 0j)), (1.0, -1.0))
+    assert result != pfd_coefficients([1.0, 3.0])
+    assert hash(result) == hash(pfd_coefficients([1.0, 2.0]))
+    assert repr(result) == ("PfdResult(nodes=((1+0j), (2+0j)),"
+                            " coefficients=((1+0j), (-1-0j)))")
+    with pytest.raises(AttributeError):
+        result.nodes = ()
+    with pytest.raises(AttributeError):
+        del result.coefficients
+    assert result.nodes == ((1 + 0j), (2 + 0j))
 
 
 def test_single_node():
