@@ -85,37 +85,43 @@ class ConvergenceReport(_Record):
         self.method = method
 
 
-def log_hypergeometric(start: float, factors, first: int,
-                       count: int) -> Iterator[float]:
+def _log_ratio(c, d, e, k):
+    """e*log|1 + c/(k + d)|, as one quotient where c/(k + d) < -1/2."""
+    x = c / (k + d)
+    return e * (math.log1p(x) if x >= -0.5 else math.log(abs((k + d + c) / (k + d))))
+
+
+def log_hypergeometric(start: float, factors, first: int, count: int) -> list[float]:
     """log|t_k| for k = first .. first + count - 1 of a hypergeometric term.
 
     log|t_first| = `start`, and t_(k+1)/t_k = prod (1 + c/(k + d))^e over
-    the (c, d, e) triples in `factors`.  Each factor adds e*log1p(c/(k+d)),
-    or, where c/(k + d) < -1/2 and log1p would magnify the rounding of its
-    argument, e*log|(k + d + c)/(k + d)| as one quotient.  A float e keeps
-    the product on the interpreter's fast path.
+    the one or two (c, d, e) triples in `factors`.  Each factor adds
+    e*log1p(c/(k+d)), or, where c/(k + d) < -1/2 and log1p would magnify
+    the rounding of its argument, e*log|(k + d + c)/(k + d)| as one
+    quotient.  That needs k + d < max(-2c, 0), so only a prefix of k takes
+    the test, and the rest is one pass of e1*log1p(..) + e2*log1p(..).  A
+    float e keeps the product on the interpreter's fast path.
 
     The count - 1 steps go into a Kahan-compensated sum.  Summed plainly, a
     log-magnitude near 30 rounds by about 2e-15 per step, 1e-13 relative in
     the terms after 1024 steps; compensated, about one rounding in all.
     """
-    log1p, log = math.log1p, math.log
-    ks = range(first, first + count - 1)
-    steps = None
-    for c, d, e in factors:
-        logs = [e * (log1p(x) if (x := c / (k + d)) >= -0.5
-                     else log(abs((k + d + c) / (k + d))))
-                for k in ks]
-        steps = logs if steps is None else list(map(operator.add, steps, logs))
-    total = start
-    comp = 0.0
-    yield total
+    (c1, d1, e1), (c2, d2, e2) = (*factors, (0, 1, 0.0))[:2]
+    end = first + count - 1
+    split = min(end, max(first, *(math.ceil(max(-2.0 * c, 0.0) - d) + 1
+                                  for c, d, _ in factors)))
+    steps = [_log_ratio(c1, d1, e1, k) + _log_ratio(c2, d2, e2, k)
+             for k in range(first, split)]
+    steps += [e1 * math.log1p(c1 / (k + d1)) + e2 * math.log1p(c2 / (k + d2))
+              for k in range(split, end)]
+    total, comp, logs = start, 0.0, [start]
     for step in steps:
         y = step - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        yield total
+        logs.append(total)
+    return logs
 
 
 @lru_cache(maxsize=None)

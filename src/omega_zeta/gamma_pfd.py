@@ -15,6 +15,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
+from itertools import cycle
 
 from .accel import AccelerationMethod, ConvergenceReport, log_hypergeometric, sum_alternating
 from .errors import DomainError, PoleError
@@ -99,12 +101,14 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     Gamma(a)^2 exactly, under every method.  When 2a is a non-positive
     integer, Gamma(2a+k) has a pole and the series cannot be formed.
 
-    For real z^2 the terms are real, and they alternate strictly from the
-    first k with 2a+k > 0 and (a+k)^2 > z^2 on (for real z with |z| > a
-    the earlier terms have the flipped sign).  The terms before that k
-    are added with fsum and only the rest goes to `sum_alternating`, so
-    CVZ sees an alternating series.  Gamma(a)^2 and the coefficients are
-    real, so the value is a float exactly when z^2 is real.
+    For real z^2 the terms are floats, each the real part of its complex
+    form bit for bit, but a term that underflows keeps the sign of the
+    formula, which complex division can lose.  They alternate strictly
+    from the first k with 2a+k > 0 and (a+k)^2 > z^2 on (for real z with
+    |z| > a the earlier terms have the flipped sign).  The terms before
+    that k are added with fsum and only the rest goes to `sum_alternating`,
+    so CVZ sees an alternating series and the value is a float exactly
+    when z^2 is real.
 
     The coefficients c_k = Gamma(2a+k)/((a+k) k!) are hypergeometric, with
     c_(k+1)/c_k = (1 + (2a-1)/(k+1)) / (1 + 1/(a+k)): log|c_0| takes one
@@ -124,28 +128,27 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")
     z2 = z * z
+    zz = z2.real if z2.imag == 0 else z2
     ga2 = exp_log(2.0 * log_gamma(a)).real
     log_coefs = log_hypergeometric(math.lgamma(2.0 * a) - math.log(abs(a)),
                                    ((2.0 * a - 1.0, 1, 1.0), (1.0, a, -1.0)),
                                    0, n_terms)
-    terms = []
-    for k, log_coef in enumerate(log_coefs):
-        ak = a + k
-        den = z2 - ak * ak
-        if abs(den) <= _POLE_DIST:
-            raise PoleError(f"z = {z} within tolerance of pole at a+{k}")
-        x = 2.0 * a + k
-        # Gamma(x) < 0 exactly for x in (-1, 0), (-3, -2), ...
-        coef_sign = -1.0 if x < 0 and math.floor(x) % 2 else 1.0
-        if ak < 0:
-            coef_sign = -coef_sign
-        sign = -coef_sign if k % 2 == 0 else coef_sign
-        terms.append(sign * math.exp(log_coef) * 2.0 * z2 / den)
+    dens = [zz - (a + k) * (a + k) for k in range(n_terms)]
+    if min(map(abs, dens)) <= _POLE_DIST:
+        k = next(k for k, den in enumerate(dens) if abs(den) <= _POLE_DIST)
+        raise PoleError(f"z = {z} within tolerance of pole at a+{k}")
+    # 2 (-1)^(k+1) sign(c_k); 2a+k < 0 for k <= -2a, Gamma(2a+k) < 0 at odd floors
+    twos = [-2.0, 2.0] * (n_terms // 2 + 1)
+    for k in range(min(n_terms, math.floor(-2.0 * a) + 1)):
+        if math.floor(2.0 * a + k) % 2 != (a + k < 0):
+            twos[k] = -twos[k]
+    terms = [two * math.exp(log_coef) * zz / den
+             for two, log_coef, den in zip(twos, log_coefs, dens)]
     k = 0
     if z2.imag == 0:
         while k < n_terms - 1 and (2.0 * a + k <= 0 or (a + k) ** 2 <= z2.real):
             k += 1
-    head = math.fsum(t.real for t in terms[:k])
+    head = math.fsum(terms[:k])
     if z2 == 0:
         # CVZ would reject the all-zero terms as not alternating.
         report = ConvergenceReport(0.0, n_terms, 0.0, method)
@@ -179,6 +182,5 @@ def inverse_square_series(q: float, n_terms: int,
               - 3.0 * math.log(q + 1.0))
     log_mags = log_hypergeometric(log_t1, ((2.0 * q + 1.0, 0, 1.0), (1.0, q, -3.0)),
                                   1, n_terms)
-    terms = [(2.0 if n % 2 else -2.0) * math.exp(log_mag)
-             for n, log_mag in enumerate(log_mags, 1)]
+    terms = list(map(operator.mul, cycle((2.0, -2.0)), map(math.exp, log_mags)))
     return _sum_own_terms(terms, method)

@@ -8,13 +8,16 @@ from omega_zeta import (
     AccelerationMethod,
     DivergenceError,
     DomainError,
+    PoleError,
     gamma,
     gamma_pair,
     gamma_pfd_series,
     inverse_square_series,
     modulus_product,
+    sum_alternating,
     trigamma,
 )
+from omega_zeta.accel import log_hypergeometric
 
 CVZ = AccelerationMethod.CHEBYSHEV_ALTERNATING
 EULER = AccelerationMethod.EULER_TRANSFORM
@@ -195,3 +198,91 @@ def test_inverse_square_vs_trigamma(q, n_terms, method, ref, tol):
 def test_inverse_square_divergence_detected():
     with pytest.raises(DivergenceError):
         inverse_square_series(2.5, 64, NONE)
+
+
+def _per_term(a, z, n_terms):
+    """The series' terms as first built, kept here to pin their bits: one
+    complex term per k, its sign from the signs of Gamma(2a+k) and a+k."""
+    z2 = complex(z) * complex(z)
+    log_coefs = log_hypergeometric(math.lgamma(2.0 * a) - math.log(abs(a)),
+                                   ((2.0 * a - 1.0, 1, 1.0), (1.0, a, -1.0)),
+                                   0, n_terms)
+    terms = []
+    for k, log_coef in enumerate(log_coefs):
+        ak = a + k
+        x = 2.0 * a + k
+        coef_sign = -1.0 if x < 0 and math.floor(x) % 2 else 1.0
+        if ak < 0:
+            coef_sign = -coef_sign
+        sign = -coef_sign if k % 2 == 0 else coef_sign
+        terms.append(sign * math.exp(log_coef) * 2.0 * z2 / (z2 - ak * ak))
+    return terms
+
+
+@pytest.fixture
+def built_terms(monkeypatch):
+    """Every term gamma_pfd_series builds, in order: the head it adds with
+    fsum, then the rest it passes to sum_alternating."""
+    seen = []
+
+    class Math:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def fsum(values):
+            values = list(values)
+            seen.extend(values)
+            return math.fsum(values)
+
+    def capture(terms, method):
+        seen.extend(terms)
+        return sum_alternating(terms, method)
+
+    monkeypatch.setattr(gamma_pfd_module, "math", Math())
+    monkeypatch.setattr(gamma_pfd_module, "sum_alternating", capture)
+    return seen
+
+
+def _hex(t):
+    return (t.real.hex(), t.imag.hex()) if type(t) is complex else t.hex()
+
+
+# 1.7 as in the benchmark; -0.3, -0.7, -1.94 and -2.9 have coefficients of
+# either sign, and z = 0.41 flips the first terms at a = -0.3 and -0.7.  At
+# a = -100.3 and -150.7 terms underflow to +-0.0, with |a+k| >= 0.3 > |z|.
+@pytest.mark.parametrize("a,z", [
+    (a, z) for a in (1.7, -0.3, -0.7, -1.94, -2.9, -100.3, -150.7)
+    for z in (0.2, 0.35j, 0.2 + 0.1j) + ((0.41,) if a > -100 else ())])
+def test_series_terms_match_the_per_term_formula_bit_for_bit(built_terms, a, z):
+    gamma_pfd_series(a, z, 1024, EULER)
+    ref = _per_term(a, z, 1024)
+    if (z * z).imag == 0:
+        # real z^2: float terms, each the real part of the complex one
+        assert {type(t) for t in built_terms} == {float}
+        ref = [t.real for t in ref]
+    assert list(map(_hex, built_terms)) == list(map(_hex, ref))
+    if a < -100 and (z * z).imag == 0:
+        assert {_hex(t) for t in built_terms if t == 0} == {"0x0.0p+0", "-0x0.0p+0"}
+
+
+@pytest.mark.parametrize("z", [0.41, 0.35j, 2.2])
+def test_series_terms_even_in_z_where_they_underflow(built_terms, z):
+    # From k = 302 on every term underflows.  Complex arithmetic once made
+    # all of them -0.0 at -z (whose z^2 has imaginary part -0.0), and CVZ
+    # refused those as not alternating; at z = 2.2 it also lost the sign of
+    # the underflowed terms with (a+k)^2 < z^2.
+    plus, minus = (gamma_pfd_series(-150.7, w, 600, CVZ) for w in (z, -z))
+    assert plus == minus
+    half = len(built_terms) // 2
+    assert list(map(_hex, built_terms[:half])) == list(map(_hex, built_terms[half:]))
+
+
+@pytest.mark.parametrize("a,z,k", [(0.25, 2.25, 2), (0.25, -2.25, 2),
+                                   (-1.5 + 1e-10, 0.5, 1), (84.0, 91.0, 7)])
+def test_series_pole_names_the_first_k(a, z, k):
+    # z^2 = (a+k)^2; at a = -1.5 + 1e-10 both k = 1 and k = 2 are within
+    # the tolerance.  At a = 84 the pole is found before the term at k = 6
+    # overflows.
+    with pytest.raises(PoleError, match=rf"pole at a\+{k}$"):
+        gamma_pfd_series(a, z, 16, EULER)
