@@ -95,7 +95,7 @@ def log_hypergeometric(start: float, factors, first: int, count: int) -> list[fl
     """log|t_k| for k = first .. first + count - 1 of a hypergeometric term.
 
     log|t_first| = `start`, and t_(k+1)/t_k = prod (1 + c/(k + d))^e over
-    the one or two (c, d, e) triples in `factors`.  Each factor adds
+    the two (c, d, e) triples in `factors`.  Each factor adds
     e*log1p(c/(k+d)), or, where c/(k + d) < -1/2 and log1p would magnify
     the rounding of its argument, e*log|(k + d + c)/(k + d)| as one
     quotient.  That needs k + d < max(-2c, 0), so only a prefix of k takes
@@ -106,7 +106,7 @@ def log_hypergeometric(start: float, factors, first: int, count: int) -> list[fl
     log-magnitude near 30 rounds by about 2e-15 per step, 1e-13 relative in
     the terms after 1024 steps; compensated, about one rounding in all.
     """
-    (c1, d1, e1), (c2, d2, e2) = (*factors, (0, 1, 0.0))[:2]
+    (c1, d1, e1), (c2, d2, e2) = factors
     end = first + count - 1
     split = min(end, max(first, *(math.ceil(max(-2.0 * c, 0.0) - d) + 1
                                   for c, d, _ in factors)))

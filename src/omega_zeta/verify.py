@@ -300,7 +300,7 @@ def _suite_zeta3():
     rep = zeta3_series(Zeta3Variant.SINE, PrecisionConfig(max_terms=40))
     _check(res, "zeta3", "sine form sum", abs(rep.value - z3), 1e-6)
     rep = zeta3_series(Zeta3Variant.BETA, PrecisionConfig(max_terms=40))
-    _check(res, "zeta3", "beta form sum (regularized)", abs(rep.value - z3), 1e-5)
+    _check(res, "zeta3", "beta form sum (regularized)", abs(rep.value - z3), 1e-13)
     worst = 0.0
     for d in range(1, 16):
         lhs = log_gamma(complex(1 + d, _SQRT3 * d)).real * 2.0

@@ -8,8 +8,8 @@
   cosh, even-index terms Q(d) against sinh.  Interleaved they reproduce
   the alternating zeta(3) series term by term.
 * Beta form: an alternating Beta-function series plus a double sum
-  whose inner k-series diverges classically for n >= 4 and is summed
-  with an Euler transform.
+  whose inner k-series diverges classically for n >= 4; each inner sum
+  takes its Euler value from Pfaff's convergent transformation.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import math
 from enum import Enum
 from functools import lru_cache
 
-from .accel import (ConvergenceReport, _first_terms, log_hypergeometric,
-                    sum_alternating)
+from .accel import ConvergenceReport, _first_terms, sum_alternating
 from .errors import DomainError
 from .oracle import PrecisionConfig
 from .special import log_cosh, log_sin, log_sinh
@@ -109,49 +108,47 @@ def hyperbolic_term(n: int) -> float:
 
 @lru_cache(maxsize=None)
 def beta_series_term(n: int) -> float:
-    """3 * (-1)^(n-1) * B(n/2, n/2) / n^2, via log-gamma."""
-    log_mag = (math.log(3.0) + 2.0 * math.lgamma(0.5 * n)
-               - math.lgamma(float(n)) - 2.0 * math.log(n))
-    sign = 1.0 if n % 2 else -1.0
-    return sign * math.exp(log_mag)
+    """3 * (-1)^(n-1) * B(n/2, n/2) / n^2, with B(m, m) = 1/((2m - 1)
+    C(2m - 2, m - 1)) and B(m + 1/2, m + 1/2) = pi C(2m, m)/16^m: an
+    integer quotient, correctly rounded, or pi times one."""
+    m = n // 2
+    if n % 2:
+        return math.pi * (3 * math.comb(2 * m, m) / (16 ** m * n * n))
+    return -3 / ((n - 1) * math.comb(n - 2, m - 1) * n * n)
 
 
-# Inner Euler transforms are limited to term magnitudes below this, so
-# the binomial cancellation noise stays under ~1e-8 absolute.
-_INNER_LOG_CAP = math.log(1e8)
+def _pfaff_sum(n: int, b: complex):
+    """P(b) = sum_j (n)_j / (b + 1)_j * 2^-j / b, up to the first term
+    below half a rounding of the total."""
+    term = total = 1.0 / b
+    j = 0
+    while abs(term) >= 2.0 ** -54 * abs(total):
+        term *= (n + j) / (b + (j + 1.0)) * 0.5
+        total += term
+        j += 1
+    return total
 
 
 @lru_cache(maxsize=None)
-def inner_double_sum(n: int):
-    """Euler-transformed inner k-sum of the double series,
+def inner_double_sum(n: int) -> float:
+    """Euler (Abel) value of the inner k-sum of the double series,
 
         sum_k (-1)^(n+k) * 36 * C(n+k-1, k) / ((n+2k)(3n^2 + (n+2k)^2)),
 
-    over k < max(28, 2n + 12).  The terms grow like k^(n-4); for n >= 4
-    the classical sum diverges and only the Euler transform gives it a
-    value.  Returns (value, noise) where noise estimates the cancellation
-    error left by differencing the large binomial terms in double precision.
-    C(n+k-1, k) is hypergeometric in k, with ratio 1 + (n-1)/(k+1), so
-    `accel.log_hypergeometric` builds its logarithm from 0 with no lgamma.
+    whose terms grow like k^(n-4), so that it diverges classically for
+    n >= 4.  With x = n + 2k the summand splits as
+    (1/3n^2)(1/x - Re 1/(x - i sqrt(3) n)), and each piece is
+    sum_k (-1)^k C(n+k-1, k)/(k + b) = int_0^1 t^(b-1) (1+t)^-n dt
+    = 2^-n P(b) at b = n/2 and b = n(1 - i sqrt(3))/2: Pfaff's
+    transformation of 2F1(n, b; b+1; -1) (DLMF 15.8.1), which is Euler's
+    transform in closed form.  The terms of P fall at every step, by
+    (n+j)/(2|b+1+j|) < 1, so the value is
+    (-1)^n 6/n^2 2^-n (P(n/2) - Re P(n(1 - i sqrt(3))/2)).
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    k_terms = max(28, 2 * n + 12)
-    terms = []
-    base_sign = 1.0 if n % 2 == 0 else -1.0
-    peak = 0.0
-    log_binoms = log_hypergeometric(0.0, ((n - 1, 1, 1.0),), 0, k_terms)
-    for k, log_binom in enumerate(log_binoms):
-        log_mag = (math.log(36.0) + log_binom
-                   - math.log(n + 2.0 * k)
-                   - math.log(3.0 * n * n + (n + 2.0 * k) ** 2))
-        if log_mag > _INNER_LOG_CAP and k > n:
-            break
-        peak = max(peak, log_mag)
-        sign = base_sign if k % 2 == 0 else -base_sign
-        terms.append(sign * math.exp(log_mag))
-    noise = math.exp(peak) * len(terms) * 2.2e-16
-    return sum_alternating(terms, "euler").value, noise
+    diff = _pfaff_sum(n, 0.5 * n) - _pfaff_sum(n, complex(0.5 * n, -0.5 * _SQRT3 * n)).real
+    return math.ldexp((6.0 if n % 2 == 0 else -6.0) / (n * n) * diff, -n)
 
 
 def zeta3_series(variant: Zeta3Variant | str,
@@ -160,34 +157,20 @@ def zeta3_series(variant: Zeta3Variant | str,
 
     `variant` is a Zeta3Variant or its string value.  The sine and
     hyperbolic forms sum their terms as one series; the beta form sums
-    its beta and inner parts apart and adds the results.
+    its beta and inner parts apart, over max_terms terms each, and adds
+    the values and the estimates.
     """
     variant = Zeta3Variant(variant)
     config = config or PrecisionConfig(max_terms=40)
 
     if variant is Zeta3Variant.BETA:
-        n_outer = config.max_terms
-        beta_terms = [beta_series_term(n) for n in range(1, n_outer + 1)]
-        # The inner Euler transforms lose accuracy as the binomial terms
-        # outgrow double precision; stop the outer sum once the per-term
-        # cancellation noise exceeds the budget and let the outer
-        # acceleration extrapolate from the reliable terms.
-        inner_terms = []
-        total_noise = 0.0
-        for n in range(1, n_outer + 1):
-            value, noise = inner_double_sum(n)
-            if noise > 1e-9 and n > 8:
-                break
-            inner_terms.append(value)
-            total_noise += noise
-        rep_beta = sum_alternating(beta_terms, config.method)
-        rep_inner = sum_alternating(inner_terms, config.method)
-        return ConvergenceReport(
-            rep_beta.value + rep_inner.value,
-            len(inner_terms),
-            rep_beta.error_estimate + rep_inner.error_estimate + total_noise,
-            rep_beta.method,
-        )
+        rep_beta = sum_alternating(_first_terms(beta_series_term, config.max_terms),
+                                   config.method)
+        rep_inner = sum_alternating(_first_terms(inner_double_sum, config.max_terms),
+                                    config.method)
+        return ConvergenceReport(rep_beta.value + rep_inner.value, config.max_terms,
+                                 rep_beta.error_estimate + rep_inner.error_estimate,
+                                 rep_beta.method)
 
     if variant is Zeta3Variant.SINE:
         terms = _first_terms(sine_term, config.max_terms)

@@ -431,16 +431,19 @@ def _hypergeometric_cases():
         yield (math.lgamma(2.0 * q + 2.0) - 2.0 * math.lgamma(q + 1.0)
                - 3.0 * math.log(q + 1.0),
                ((2.0 * q + 1.0, 0, 1.0), (1.0, q, -3.0)), 1, n_terms)
-    for n in (1, 2, 3, 17, 60):  # inner_double_sum's one binomial factor
-        yield 0.0, ((n - 1, 1, 1.0),), 0, max(28, 2 * n + 12)
+    # One factor alone, as for the binomial C(n+k-1, k), goes beside the
+    # factor of one, (0, 1, 0.0).
+    one = (0, 1, 0.0)
+    for n in (1, 2, 3, 17, 60):
+        yield 0.0, ((n - 1, 1, 1.0), one), 0, max(28, 2 * n + 12)
     # c/(k + d) = -1/2 exactly at k = 4; then either sign of c and k + d
     yield 1.5, ((-2.0, 0.0, 1.0), (3.0, -7.25, -2.0)), 3, 40
     rng = random.Random(20203)
     for _ in range(40):
-        yield (rng.uniform(-5, 5),
-               tuple((rng.uniform(-6, 6), rng.uniform(-6, 6), rng.choice((1.0, -3.0)))
-                     for _ in range(rng.choice((1, 2)))),
-               rng.choice((0, 1, 3)), 48)
+        start = rng.uniform(-5, 5)
+        drawn = [(rng.uniform(-6, 6), rng.uniform(-6, 6), rng.choice((1.0, -3.0)))
+                 for _ in range(rng.choice((1, 2)))]
+        yield start, (*drawn, one)[:2], rng.choice((0, 1, 3)), 48
 
 
 def test_log_hypergeometric_matches_the_per_factor_passes_bit_for_bit():

@@ -98,12 +98,19 @@ def test_gamma_pfd_reports_deviation():
 
 
 @pytest.mark.parametrize("variant,tol", [("sine", 1e-6), ("hyperbolic", 1e-9),
-                                         ("beta", 1e-5)])
+                                         ("beta", 1e-13)])
 def test_zeta3_variants(variant, tol):
     proc = run_cli("zeta3", "--variant", variant, "--terms", "40")
     assert proc.returncode == 0
     (rec,) = json_records(proc)
     assert abs(rec["value_re"] - 1.2020569031595943) < tol
+
+
+def test_zeta3_beta_uses_every_requested_term():
+    proc = run_cli("zeta3", "--variant", "beta", "--terms", "200")
+    assert proc.returncode == 0
+    (rec,) = json_records(proc)
+    assert rec["terms_used"] == 200
 
 
 def test_converge_table_shape():

@@ -1,9 +1,9 @@
 """Per-term accuracy of the series built by ratio recurrence.
 
-`gamma_pfd_series`, `inverse_square_series` and `inner_double_sum` carry
-each term's log-magnitude as a running sum of log-ratio steps.  The terms
-are captured where they enter `sum_alternating` and compared one by one
-with 40-digit mpmath values formed from gamma functions directly.
+`gamma_pfd_series` and `inverse_square_series` carry each term's
+log-magnitude as a running sum of log-ratio steps.  The terms are captured
+where they enter `sum_alternating` and compared one by one with 40-digit
+mpmath values formed from gamma functions directly.
 """
 
 import random
@@ -12,9 +12,7 @@ import mpmath as mp
 import pytest
 
 import omega_zeta.gamma_pfd as gamma_pfd_module
-import omega_zeta.zeta3 as zeta3_module
 from omega_zeta import gamma_pfd_series, inverse_square_series, sum_alternating
-from omega_zeta.zeta3 import inner_double_sum
 
 TERM_REL_TOL = 1e-13
 
@@ -54,7 +52,7 @@ def _inverse_square_grid():
 
 @pytest.fixture
 def captured(monkeypatch):
-    """Lists of terms passed to `sum_alternating` by the series modules."""
+    """Lists of terms passed to `sum_alternating` by `gamma_pfd`."""
     seen = []
 
     def capture(terms, method):
@@ -62,9 +60,6 @@ def captured(monkeypatch):
         return sum_alternating(terms, method)
 
     monkeypatch.setattr(gamma_pfd_module, "sum_alternating", capture)
-    monkeypatch.setattr(zeta3_module, "sum_alternating", capture)
-    # A memoized inner sum computed earlier would not reach the capture.
-    zeta3_module.inner_double_sum.cache_clear()
     return seen
 
 
@@ -94,17 +89,6 @@ def test_inverse_square_terms_match_multiprecision(captured, q, n_terms):
                / (mp.gamma(q_mp + 1) ** 2 * mp.factorial(n - 1) * (q_mp + n) ** 3)
                for n in range(1, n_terms + 1)]
     assert _max_rel_error(got, ref) <= TERM_REL_TOL
-
-
-def test_inner_double_sum_terms_match_multiprecision(captured):
-    for n in range(1, 61):
-        inner_double_sum(n)
-    with mp.workdps(40):
-        for n, got in enumerate(captured, 1):
-            ref = [(-1) ** (n + k) * 36 * mp.binomial(n + k - 1, k)
-                   / ((n + 2 * k) * (3 * n * n + (n + 2 * k) ** 2))
-                   for k in range(len(got))]
-            assert _max_rel_error(got, ref) <= TERM_REL_TOL, n
 
 
 def test_inverse_square_large_n_within_its_estimate():

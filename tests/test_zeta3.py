@@ -109,7 +109,32 @@ def test_sine_sum():
 
 def test_beta_sum():
     rep = zeta3_series(Zeta3Variant.BETA, PrecisionConfig(max_terms=40))
-    assert abs(rep.value - ZETA3) < 1e-5
+    assert abs(rep.value - ZETA3) < 1e-13
+
+
+@pytest.mark.parametrize("method", ["none", "euler", "cvz"])
+def test_beta_sum_within_its_estimate_at_every_length(method):
+    # Every requested term is used, and the error stays within the estimate.
+    ref = mp.zeta(3)
+    for n_terms in range(1, 201):
+        rep = zeta3_series("beta", PrecisionConfig(max_terms=n_terms, method=method))
+        assert rep.terms_used == n_terms
+        assert float(abs(rep.value - ref)) <= rep.error_estimate, n_terms
+
+
+def _mp_beta_term(n):
+    return 3 * (-1) ** (n - 1) * mp.beta(mp.mpf(n) / 2, mp.mpf(n) / 2) / n ** 2
+
+
+def test_beta_series_terms_match_multiprecision():
+    # At n = 1 the term is 3 pi, which the sum of the beta form cancels down
+    # to zeta(3), so its absolute error counts.
+    for n in range(1, 1001):
+        ref = _mp_beta_term(n)
+        err = abs(beta_series_term(n) - ref)
+        assert err <= 4e-15, n
+        if n <= 60:
+            assert err <= 4e-15 * abs(ref), n
 
 
 @pytest.mark.parametrize("variant", list(Zeta3Variant), ids=lambda v: v.value)
@@ -130,12 +155,15 @@ def test_unknown_variant_is_a_domain_error_before_any_term(monkeypatch):
 
 
 def test_inner_double_sum_matches_term_decomposition():
-    # the regularized inner sum plus the Beta part reassembles the
-    # series term; classically convergent for n <= 3, regularized above
-    for n in range(1, 16):
-        ref = zeta_term(3, n) - beta_series_term(n)
-        value, noise = inner_double_sum(n)
-        assert abs(value - ref) < max(1e-9, 10 * noise)
+    # The inner sum plus the Beta part reassembles the series term, so the
+    # Euler value of the inner sum, which diverges classically for n >= 4,
+    # is the 40-digit series term less the 40-digit Beta part.
+    w = mp.exp(2j * mp.pi / 3)
+    for n in range(1, 61):
+        term = (3 * (-1) ** (n - 1) * mp.gamma(1 - w * n) * mp.gamma(1 - w * w * n)
+                / (mp.factorial(n) * n ** 3))
+        ref = mp.re(term) - _mp_beta_term(n)
+        assert abs(inner_double_sum(n) - ref) <= 2e-15 * abs(ref), n
 
 
 MEMOIZED = (sine_term, hyperbolic_term, beta_series_term, inner_double_sum)
@@ -145,13 +173,10 @@ MEMOIZED = (sine_term, hyperbolic_term, beta_series_term, inner_double_sum)
 def test_term_cache_returns_the_same_bits(fn):
     grid = (1, 2, 3, 8, 31, 120)
 
-    def bits(value):  # inner_double_sum returns (value, noise)
-        return tuple(map(float.hex, value)) if type(value) is tuple else value.hex()
-
-    before = [bits(fn(n)) for n in grid]
+    before = [fn(n).hex() for n in grid]
     fn.cache_clear()
-    assert [bits(fn(n)) for n in grid] == before
-    assert [bits(fn.__wrapped__(n)) for n in grid] == before
+    assert [fn(n).hex() for n in grid] == before
+    assert [fn.__wrapped__(n).hex() for n in grid] == before
 
 
 @pytest.mark.parametrize("fn", (sine_term, hyperbolic_term, inner_double_sum),
