@@ -62,18 +62,6 @@ class _Record:
         return f"{type(self).__name__}({fields})"
 
 
-class _FrozenRecord(_Record):
-    """A hashable _Record whose `__init__` sets its fields in `vars(self)`."""
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
-
-
 class ConvergenceReport(_Record):
     """Result of a series evaluation."""
 

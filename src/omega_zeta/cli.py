@@ -14,13 +14,7 @@ import time
 from itertools import accumulate
 
 from .accel import AccelerationMethod, sum_alternating
-from .errors import (
-    DegenerateNodesError,
-    DivergenceError,
-    DomainError,
-    PoleError,
-    SignPatternError,
-)
+from .errors import DivergenceError, DomainError, OmegaZetaError
 from .gamma_pfd import gamma_pair, gamma_pfd_series
 from .oracle import PrecisionConfig, zeta_oracle
 from .unity_product import ExpZetaSeries, GammaProduct, TruncatedProduct, unity_gamma_product
@@ -203,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi", help="evaluate the root-of-unity gamma product")
     p.add_argument("m", type=int)
     p.add_argument("--z", required=True, metavar="RE,IM")
-    p.add_argument("--route", choices=("product", "gamma", "expzeta", "all"),
-                   default="gamma")
+    p.add_argument("--route", choices=(*_ROUTES, "all"), default="gamma")
     common(p)
     p.set_defaults(func=_cmd_phi)
 
@@ -262,8 +255,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (DomainError, PoleError, DegenerateNodesError, OverflowError,
-            SignPatternError, ValueError) as exc:
+    except (OmegaZetaError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

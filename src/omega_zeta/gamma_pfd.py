@@ -39,25 +39,6 @@ def gamma_pair(a: complex, z: complex) -> complex:
     return exp_log(log_gamma(a + z) + log_gamma(a - z))
 
 
-def modulus_product(a: float, z: complex, n_factors: int) -> complex:
-    """Truncated product for Gamma(a+z)Gamma(a-z)/Gamma(a)^2 with a
-    first-order tail correction exp(z^2 * psi'(a + N))."""
-    if n_factors < 1:
-        raise DomainError("need n_factors >= 1")
-    a = float(a)
-    z = complex(z)
-    z2 = z * z
-    log_prod = 0j
-    for k in range(1, n_factors + 1):
-        den = a - 1.0 + k
-        factor = 1.0 - z2 / (den * den)
-        if abs(factor) <= _POLE_DIST:
-            raise PoleError(f"z = {z} hits pole at a-1+{k}")
-        log_prod -= cmath.log(factor)
-    tail = z2 * trigamma(a + n_factors)
-    return cmath.exp(log_prod + tail)
-
-
 def _sum_own_terms(terms, method):
     """sum_alternating over terms built here from finite inputs, where a term
     that is not finite can only be an overflow (a product past the double
@@ -73,19 +54,42 @@ def _sum_own_terms(terms, method):
 def _within_double_range(series):
     """`series`, with every way it leaves the double range (lgamma or exp
     while the terms are built, an inf or nan term or sum) ended in one
-    readable OverflowError.  CVZ's term limit is a DomainError and passes
-    through."""
+    readable OverflowError.  `series` returns a report, or a bare value.
+    CVZ's term limit is a DomainError and passes through."""
     @functools.wraps(series)
     def checked(*args, **kwargs):
         try:
             report = series(*args, **kwargs)
-            if cmath.isfinite(report.value) and math.isfinite(report.error_estimate):
+            if (cmath.isfinite(getattr(report, "value", report))
+                    and math.isfinite(getattr(report, "error_estimate", 0.0))):
                 return report
         except OverflowError:
             pass
         raise OverflowError(f"{series.__name__}: a term, a weight or the sum "
                             "exceeds double range")
     return checked
+
+
+@_within_double_range
+def modulus_product(a: float, z: complex, n_factors: int) -> complex:
+    """Truncated product for Gamma(a+z)Gamma(a-z)/Gamma(a)^2 with a
+    first-order tail correction exp(z^2 * psi'(a + N))."""
+    if n_factors < 1:
+        raise DomainError("need n_factors >= 1")
+    a = float(a)
+    z = complex(z)
+    if not (math.isfinite(a) and cmath.isfinite(z)):
+        raise DomainError(f"need finite a and z, got a = {a}, z = {z}")
+    z2 = z * z
+    log_prod = 0j
+    for k in range(1, n_factors + 1):
+        den = a - 1.0 + k
+        factor = 1.0 - z2 / (den * den)
+        if abs(factor) <= _POLE_DIST:
+            raise PoleError(f"z = {z} hits pole at a-1+{k}")
+        log_prod -= cmath.log(factor)
+    tail = z2 * trigamma(a + n_factors)
+    return cmath.exp(log_prod + tail)
 
 
 @_within_double_range

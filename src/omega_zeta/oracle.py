@@ -50,16 +50,16 @@ def _add_bernoulli_corrections(total: float, s: int, n: int) -> float:
     return total
 
 
-def zeta_oracle(s: int, cutoff: int = 20) -> float:
+def zeta_oracle(s: int) -> float:
     """zeta(s) for integer s >= 2 via Euler-Maclaurin summation.
 
-    Partial Dirichlet sum to `cutoff`, integral + midpoint terms, then
-    six Bernoulli correction terms.  Accurate to well below 1e-13
-    relative for the default cutoff.
+    Partial Dirichlet sum to the cutoff 20, integral + midpoint terms,
+    then six Bernoulli correction terms.  Accurate to well below 1e-13
+    relative.
     """
     if s < 2:
         raise DomainError(f"zeta_oracle needs s >= 2, got {s}")
-    n = cutoff
+    n = 20
     total = sum(k ** (-float(s)) for k in range(1, n))
     total += n ** (1.0 - s) / (s - 1.0)
     total += 0.5 * n ** (-float(s))
@@ -74,8 +74,9 @@ def tail_power_sum(p: int, cutoff: int) -> float:
     for small cutoffs the leading terms are summed explicitly before the
     corrections are applied at 20.
     """
-    if p < 2:
-        raise DomainError(f"tail_power_sum needs p >= 2, got {p}")
+    if p < 2 or cutoff < 0:
+        raise DomainError(f"tail_power_sum needs p >= 2 and cutoff >= 0, "
+                          f"got p = {p}, cutoff = {cutoff}")
     n = max(cutoff, 20)
     total = sum(k ** (-float(p)) for k in range(cutoff + 1, n + 1))
     total += n ** (1.0 - p) / (p - 1.0) - 0.5 * n ** (-float(p))

@@ -10,17 +10,15 @@ and the coefficients sum to zero for n >= 2.
 
 from __future__ import annotations
 
-from .accel import _FrozenRecord
+from collections import namedtuple
+
 from .errors import DegenerateNodesError, DomainError, PoleError
 
 __all__ = ["PfdResult", "pfd_coefficients", "pfd_residual"]
 
 _SEPARATION_TOL = 1e-10
 
-
-class PfdResult(_FrozenRecord):
-    def __init__(self, nodes: tuple, coefficients: tuple):
-        vars(self).update(nodes=nodes, coefficients=coefficients)
+PfdResult = namedtuple("PfdResult", "nodes coefficients")
 
 
 def pfd_coefficients(a) -> PfdResult:

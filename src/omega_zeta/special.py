@@ -72,11 +72,11 @@ def roots_of_unity(m: int) -> tuple:
     return tuple(roots)
 
 
-def _near_nonpositive_integer(z: complex, tol: float = _POLE_TOL) -> bool:
-    if abs(z.imag) > tol:
+def _near_nonpositive_integer(z: complex) -> bool:
+    if abs(z.imag) > _POLE_TOL:
         return False
     k = round(z.real)
-    return k <= 0 and abs(z.real - k) <= tol
+    return k <= 0 and abs(z.real - k) <= _POLE_TOL
 
 
 def log_gamma(z: complex) -> complex:
@@ -87,6 +87,8 @@ def log_gamma(z: complex) -> complex:
     in (-pi, pi]; only exp() of the result, `exp_log`, is meaningful.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"log_gamma needs finite z, got {z}")
     if _near_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z}")
     if z.real < 0.5:
@@ -138,6 +140,8 @@ def trigamma(x: float) -> float:
 def log_sin(z: complex) -> complex:
     """A logarithm of sin(z), safe for large |Im z|."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"log_sin needs finite z, got {z}")
     k = round(z.real / math.pi)
     if abs(z.imag) <= _POLE_TOL and abs(z.real - k * math.pi) <= _POLE_TOL:
         raise PoleError(f"sin zero at z = {z}")

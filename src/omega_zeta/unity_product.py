@@ -146,8 +146,8 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
     raise DomainError(f"unknown route {route!r}")
 
 
-def coefficient_log_parts(m: int, n: int):
-    """(log |lambda_n|, sign) of the gamma closed form
+def coefficient_log_parts(m: int, n: int) -> float:
+    """log |lambda_n| of the gamma closed form
 
         lambda_n = (-1)^n/n! * prod_{j=1}^{m-1} Gamma(1 - w^j n).
 
@@ -155,22 +155,20 @@ def coefficient_log_parts(m: int, n: int):
     |Gamma(1 - w^j n)|^2 > 0, and w = -1 (even m) contributes n!.  So
     only the real parts of the log-gammas are summed.
     """
-    sign = -1 if n % 2 else 1
     if m == 2:
         # Gamma(1 + n) cancels n! exactly.
-        return 0.0, sign
+        return 0.0
     log_mag = 0.0
     for w in roots_of_unity(m)[1:]:
         log_mag += log_gamma(1.0 - w * n).real
-    return log_mag - math.lgamma(n + 1.0), sign
+    return log_mag - math.lgamma(n + 1.0)
 
 
 def series_coefficient(m: int, n: int) -> float:
     """lambda_n, the product's coefficient at its pole z = n (closed form)."""
     if m < 2 or n < 1:
         raise DomainError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
-    log_mag, sign = coefficient_log_parts(m, n)
-    return sign * math.exp(log_mag)
+    return (-1 if n % 2 else 1) * math.exp(coefficient_log_parts(m, n))
 
 
 def product_coefficient(m: int, n: int, n_factors: int) -> float:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import namedtuple
 
 from . import (
     AccelerationMethod,
@@ -32,6 +33,7 @@ from . import (
     roots_of_unity,
     series_coefficient,
     sine_term,
+    tail_power_sum,
     trigamma,
     unity_gamma_product,
     unity_product_pfd,
@@ -40,17 +42,13 @@ from . import (
     zeta_term,
     zeta_via_series,
 )
-from .accel import _FrozenRecord
 
 __all__ = ["CheckResult", "run_suite", "SUITE_NAMES"]
 
 _SQRT3 = math.sqrt(3.0)
 _ZETA3 = 1.2020569031595942854
 
-
-class CheckResult(_FrozenRecord):
-    def __init__(self, suite: str, name: str, passed: bool, detail: str = ""):
-        vars(self).update(suite=suite, name=name, passed=passed, detail=detail)
+CheckResult = namedtuple("CheckResult", "suite name passed detail", defaults=("",))
 
 
 def _check(results, suite, name, worst, bound):
@@ -58,12 +56,12 @@ def _check(results, suite, name, worst, bound):
                                f"worst {worst:.3g} vs bound {bound:.3g}"))
 
 
-def _pole_free_grid(count=20, radius=0.9, seed=7):
-    rng = random.Random(seed)
+def _pole_free_grid():
+    rng = random.Random(7)
     pts = []
-    while len(pts) < count:
-        z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        if 0.05 < abs(z) <= radius and abs(abs(z) - 1.0) > 0.1:
+    while len(pts) < 20:
+        z = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+        if 0.05 < abs(z) <= 0.9 and abs(abs(z) - 1.0) > 0.1:
             pts.append(z)
     return pts
 
@@ -78,8 +76,9 @@ def _suite_oracle():
     _check(res, "oracle", "stored zeta(3) vs oracle", worst, 1e-13)
     worst = abs((zeta_oracle(20) - 1.0) / 2.0 ** -20 - 1.0)
     _check(res, "oracle", "zeta(20) - 1 near 2^-20", worst, 1e-2)
-    worst = max(abs(zeta_oracle(s, cutoff=40) - zeta_oracle(s, cutoff=20))
-                / zeta_oracle(s) for s in (2, 3, 5, 9))
+    # the same Euler-Maclaurin formula at cutoff 40: the sum to 40 plus its tail
+    worst = max(abs(sum(k ** (-float(s)) for k in range(1, 41)) + tail_power_sum(s, 40)
+                    - zeta_oracle(s)) / zeta_oracle(s) for s in (2, 3, 5, 9))
     _check(res, "oracle", "cutoff 20 vs 40 stability", worst, 1e-14)
     mono = all(zeta_oracle(s) > zeta_oracle(s + 1) for s in range(2, 19))
     res.append(CheckResult("oracle", "monotone decrease to 1", mono))

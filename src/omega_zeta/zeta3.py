@@ -111,6 +111,9 @@ def beta_series_term(n: int) -> float:
     """3 * (-1)^(n-1) * B(n/2, n/2) / n^2, with B(m, m) = 1/((2m - 1)
     C(2m - 2, m - 1)) and B(m + 1/2, m + 1/2) = pi C(2m, m)/16^m: an
     integer quotient, correctly rounded, or pi times one."""
+    if n >= 1076:
+        # both quotients are below 2^-n and round to a signed zero
+        return 0.0 if n % 2 else -0.0
     m = n // 2
     if n % 2:
         return math.pi * (3 * math.comb(2 * m, m) / (16 ** m * n * n))
@@ -143,10 +146,14 @@ def inner_double_sum(n: int) -> float:
     transformation of 2F1(n, b; b+1; -1) (DLMF 15.8.1), which is Euler's
     transform in closed form.  The terms of P fall at every step, by
     (n+j)/(2|b+1+j|) < 1, so the value is
-    (-1)^n 6/n^2 2^-n (P(n/2) - Re P(n(1 - i sqrt(3))/2)).
+    (-1)^n 6/n^2 2^-n (P(n/2) - Re P(n(1 - i sqrt(3))/2)).  The bracket is
+    2^n int_0^1 t^(n/2-1) (1+t)^-n (1 - cos((sqrt(3)/2) n ln t)) dt > 0, and
+    at most 3 for n >= 2, so from n = 1076 the value is a signed zero.
     """
     if n < 1:
         raise DomainError("need n >= 1")
+    if n >= 1076:
+        return 0.0 if n % 2 == 0 else -0.0
     diff = _pfaff_sum(n, 0.5 * n) - _pfaff_sum(n, complex(0.5 * n, -0.5 * _SQRT3 * n)).real
     return math.ldexp((6.0 if n % 2 == 0 else -6.0) / (n * n) * diff, -n)
 

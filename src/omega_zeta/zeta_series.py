@@ -36,9 +36,9 @@ def zeta_term(m: int, n: int) -> float:
         # error: the closed form's m - 1 Lanczos log-gammas leave it ~4e-15
         # off, the product of 8 factors and its tail ~1e-16.
         return -m * product_coefficient(m, 1, 8)
-    lam_log, lam_sign = coefficient_log_parts(m, n)
     # term = -m * lambda_n / n^m; lambda_n has sign (-1)^n
-    return -lam_sign * math.exp(math.log(m) + lam_log - m * math.log(n))
+    return (1 if n % 2 else -1) * math.exp(math.log(m) + coefficient_log_parts(m, n)
+                                           - m * math.log(n))
 
 
 def zeta_via_series(m: int, config: PrecisionConfig | None = None) -> ConvergenceReport:

@@ -342,10 +342,26 @@ def test_zeta_value_matches_pi_squared_over_six():
     ("zeta", "2", "--terms", "403", "--method", "cvz"),
     ("zeta3", "--variant", "sine", "--terms", "403", "--method", "cvz"),
     ("gamma-pfd", "--a", "1.5", "--z", "0.3,0", "--terms", "403", "--method", "cvz"),
-], ids=["zeta", "zeta3-sine", "gamma-pfd"])
+    ("gamma-pfd", "--a", "0.7", "--z=0.3,0", "--terms", "403", "--method", "cvz"),
+], ids=["zeta", "zeta3-sine", "gamma-pfd", "gamma-pfd-a0.7"])
 def test_cvz_past_its_double_range_names_the_limit(argv):
     # (3 + sqrt 8)^N, CVZ's scale, overflows a double from N = 403.
     proc = run_cli(*argv)
     assert proc.returncode == 3
     assert "at most 402 terms, got 403" in proc.stderr
     assert "(34," not in proc.stderr
+
+
+def test_every_library_error_exits_with_the_domain_code(monkeypatch, capsys):
+    # main maps the hierarchy, not a list of its subclasses: a new one exits 3.
+    from omega_zeta import OmegaZetaError, cli
+
+    class UnlistedError(OmegaZetaError):
+        pass
+
+    def handler(args):
+        raise UnlistedError("raised by a handler")
+
+    monkeypatch.setattr(cli, "_cmd_zeta", handler)
+    assert cli.main(["zeta", "3"]) == cli.EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: raised by a handler\n"

@@ -55,6 +55,28 @@ def test_modulus_product_agreement_grid(a):
         assert abs(modulus_product(a, z, 1000) - ref) < 1e-8 * abs(ref)
 
 
+def test_modulus_product_past_double_range_overflows_readably():
+    # The tail z^2 psi'(a + N) is about 9.5e4 here, far past exp's range.
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        modulus_product(1.0, 1000.0, 10)
+
+
+@pytest.mark.parametrize("a,z", [(math.nan, 0.3), (math.inf, 0.3),
+                                 (1.5, complex(0.2, math.nan))])
+def test_modulus_product_rejects_non_finite_input(a, z):
+    with pytest.raises(DomainError, match="need finite"):
+        modulus_product(a, z, 5)
+
+
+@pytest.mark.parametrize("series, args", [(gamma_pfd_series, (0.7, 0.3)),
+                                          (inverse_square_series, (0.5,))],
+                         ids=["gamma_pfd_series", "inverse_square_series"])
+def test_cvz_term_limit_passes_through_the_range_guard(series, args):
+    # The terms are finite, so the DomainError is CVZ's own, not an overflow.
+    with pytest.raises(DomainError, match="at most 402 terms"):
+        series(*args, 403, CVZ)
+
+
 def test_series_raw_convergent_regime():
     for a in (0.5, 0.8, 1.0, 1.25):
         for z in (0.1, 0.3, 0.45, 0.2j):

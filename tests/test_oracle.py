@@ -42,6 +42,12 @@ def test_tail_power_sum_consistency_with_oracle():
         assert abs(partial + tail_power_sum(p, 20) - zeta_oracle(p)) < 1e-14
 
 
+def test_tail_power_sum_rejects_a_negative_cutoff():
+    assert abs(tail_power_sum(2, 0) - math.pi ** 2 / 6) < 1e-15
+    with pytest.raises(DomainError, match="cutoff >= 0"):
+        tail_power_sum(2, -5)
+
+
 def test_precision_config_defaults():
     config = PrecisionConfig()
     assert config.max_terms == 64

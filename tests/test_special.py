@@ -12,6 +12,7 @@ from omega_zeta import (
     PoleError,
     exp_log,
     gamma,
+    gamma_pair,
     log_cosh,
     log_gamma,
     log_sin,
@@ -193,3 +194,16 @@ def test_log_sin_real_part_across_branch_switch(z):
 def test_gamma_overflow_message():
     with pytest.raises(OverflowError, match="exceeds double range"):
         gamma(200.0)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (log_gamma, (math.nan,)), (log_gamma, (math.inf,)), (log_gamma, (-math.inf,)),
+    (log_gamma, (complex(1.0, math.nan),)), (log_gamma, (complex(-2.5, math.inf),)),
+    (log_sin, (math.nan,)), (log_sin, (complex(0.3, math.inf),)),
+    (gamma, (math.nan,)), (gamma_pair, (math.nan, 0.3)),
+], ids=["lg-nan", "lg-inf", "lg-minus-inf", "lg-nan-imag", "lg-reflected-inf-imag",
+        "ls-nan", "ls-inf-imag", "gamma-nan", "gamma-pair-nan"])
+def test_non_finite_argument_is_a_domain_error(fn, args):
+    # Not "cannot convert float NaN to integer" from round(), nor nan+nanj.
+    with pytest.raises(DomainError, match="needs finite z"):
+        fn(*args)

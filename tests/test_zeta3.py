@@ -166,6 +166,29 @@ def test_inner_double_sum_matches_term_decomposition():
         assert abs(inner_double_sum(n) - ref) <= 2e-15 * abs(ref), n
 
 
+def test_terms_past_the_double_range_are_the_signed_zeros_they_round_to():
+    # From n = 1076 both parts of the beta form are below 2^-n; they return
+    # the signed zero that the summed and the exact forms round to.
+    for n in range(1076, 1101):
+        diff = (zeta3_module._pfaff_sum(n, 0.5 * n)
+                - zeta3_module._pfaff_sum(n, complex(0.5 * n, -0.5 * SQRT3 * n)).real)
+        assert 0.0 < diff <= 3.0
+        summed = math.ldexp((6.0 if n % 2 == 0 else -6.0) / (n * n) * diff, -n)
+        zero = 0.0 if n % 2 == 0 else -0.0
+        assert inner_double_sum(n).hex() == summed.hex() == zero.hex()
+        m = n // 2
+        exact = (math.pi * (3 * math.comb(2 * m, m) / (16 ** m * n * n)) if n % 2
+                 else -3 / ((n - 1) * math.comb(n - 2, m - 1) * n * n))
+        assert beta_series_term(n).hex() == exact.hex()
+
+
+def test_beta_sum_past_the_double_range_keeps_its_bits():
+    long = zeta3_series("beta", PrecisionConfig(max_terms=3000, method="none"))
+    short = zeta3_series("beta", PrecisionConfig(max_terms=1000, method="none"))
+    assert long.value.hex() == short.value.hex() == "0x1.33ba004f00628p+0"
+    assert long.error_estimate.hex() == short.error_estimate.hex() == "0x1.36d499443b9d4p-47"
+
+
 MEMOIZED = (sine_term, hyperbolic_term, beta_series_term, inner_double_sum)
 
 
