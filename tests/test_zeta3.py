@@ -166,9 +166,9 @@ def test_inner_double_sum_matches_term_decomposition():
         assert abs(inner_double_sum(n) - ref) <= 2e-15 * abs(ref), n
 
 
-def test_terms_past_the_double_range_are_the_signed_zeros_they_round_to():
-    # From n = 1076 both parts of the beta form are below 2^-n; they return
-    # the signed zero that the summed and the exact forms round to.
+def test_inner_sums_past_the_double_range_are_the_signed_zeros_they_round_to():
+    # From n = 1076 the inner sum is below 2^-n; it returns the signed zero
+    # that the summed form rounds to.
     for n in range(1076, 1101):
         diff = (zeta3_module._pfaff_sum(n, 0.5 * n)
                 - zeta3_module._pfaff_sum(n, complex(0.5 * n, -0.5 * SQRT3 * n)).real)
@@ -176,10 +176,6 @@ def test_terms_past_the_double_range_are_the_signed_zeros_they_round_to():
         summed = math.ldexp((6.0 if n % 2 == 0 else -6.0) / (n * n) * diff, -n)
         zero = 0.0 if n % 2 == 0 else -0.0
         assert inner_double_sum(n).hex() == summed.hex() == zero.hex()
-        m = n // 2
-        exact = (math.pi * (3 * math.comb(2 * m, m) / (16 ** m * n * n)) if n % 2
-                 else -3 / ((n - 1) * math.comb(n - 2, m - 1) * n * n))
-        assert beta_series_term(n).hex() == exact.hex()
 
 
 def test_beta_sum_past_the_double_range_keeps_its_bits():
