@@ -20,6 +20,7 @@ import cmath
 import math
 import operator
 from bisect import bisect_left
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
@@ -49,28 +50,8 @@ class AccelerationMethod(Enum):
         raise DomainError(f"unknown method {value!r}; use one of {names}")
 
 
-class _Record:
-    """`==` and `repr` over the fields `__init__` sets, as in a dataclass."""
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"{type(self).__name__}({fields})"
-
-
-class ConvergenceReport(_Record):
-    """Result of a series evaluation."""
-
-    def __init__(self, value: float, terms_used: int, error_estimate: float,
-                 method: AccelerationMethod):
-        self.value = value
-        self.terms_used = terms_used
-        self.error_estimate = error_estimate
-        self.method = method
+# The result of a series evaluation.
+ConvergenceReport = namedtuple("ConvergenceReport", "value terms_used error_estimate method")
 
 
 def _log_ratio(c, d, e, k):

@@ -84,7 +84,7 @@ def modulus_product(a: float, z: complex, n_factors: int) -> complex:
     log_prod = 0j
     for k in range(1, n_factors + 1):
         den = a - 1.0 + k
-        factor = 1.0 - z2 / (den * den)
+        factor = 1.0 - z2 / (den * den) if den else 0.0
         if abs(factor) <= _POLE_DIST:
             raise PoleError(f"z = {z} hits pole at a-1+{k}")
         log_prod -= cmath.log(factor)
@@ -148,19 +148,16 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
             twos[k] = -twos[k]
     terms = [two * math.exp(log_coef) * zz / den
              for two, log_coef, den in zip(twos, log_coefs, dens)]
+    if z2 == 0:
+        # CVZ would reject the all-zero terms as not alternating.
+        return ConvergenceReport(ga2, n_terms, 0.0, method)
     k = 0
     if z2.imag == 0:
         while k < n_terms - 1 and (2.0 * a + k <= 0 or (a + k) ** 2 <= z2.real):
             k += 1
     head = math.fsum(terms[:k])
-    if z2 == 0:
-        # CVZ would reject the all-zero terms as not alternating.
-        report = ConvergenceReport(0.0, n_terms, 0.0, method)
-    else:
-        report = _sum_own_terms(terms[k:], method)
-        report.terms_used = n_terms
-    report.value = ga2 + head + report.value
-    return report
+    rep = _sum_own_terms(terms[k:], method)
+    return ConvergenceReport(ga2 + head + rep.value, n_terms, rep.error_estimate, method)
 
 
 @_within_double_range

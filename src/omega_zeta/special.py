@@ -121,8 +121,8 @@ _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
 
 def trigamma(x: float) -> float:
     """psi'(x) = sum_{k>=0} 1/(x+k)^2 for real x > 0."""
-    if x <= 0:
-        raise DomainError(f"trigamma needs x > 0, got {x}")
+    if not 0 < x < math.inf:
+        raise DomainError(f"trigamma needs finite x > 0, got {x}")
     acc = 0.0
     while x < 10.0:
         acc += 1.0 / (x * x)
@@ -159,8 +159,8 @@ def log_sin(z: complex) -> complex:
 
 def log_sinh(x: float) -> float:
     """log(sinh(x)) for real x > 0 without overflow."""
-    if x <= 0:
-        raise DomainError(f"log_sinh needs x > 0, got {x}")
+    if not 0 < x < math.inf:
+        raise DomainError(f"log_sinh needs finite x > 0, got {x}")
     if x <= 20.0:
         return math.log(math.sinh(x))
     # sinh x = e^x (1 - e^{-2x}) / 2
@@ -169,8 +169,8 @@ def log_sinh(x: float) -> float:
 
 def log_cosh(x: float) -> float:
     """log(cosh(x)) for real x >= 0 without overflow."""
-    if x < 0:
-        raise DomainError(f"log_cosh needs x >= 0, got {x}")
+    if not 0 <= x < math.inf:
+        raise DomainError(f"log_cosh needs finite x >= 0, got {x}")
     if x <= 20.0:
         return math.log(math.cosh(x))
     return x - math.log(2.0) + math.log1p(math.exp(-2.0 * x))

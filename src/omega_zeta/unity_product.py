@@ -52,6 +52,8 @@ class ExpZetaSeries:
 
 
 def _check_pole_distance(m: int, z: complex):
+    if not math.isfinite(math.hypot(z.real, z.imag)):
+        raise DomainError(f"need finite z with |z| in double range, got {z}")
     # Poles sit at k * omega^{-j}.  | |z/k|^m - 1 | <= |(z/k)^m - 1|, so
     # (z/k)^m is formed only near |z| = k, where it cannot overflow.
     k = round(abs(z))
@@ -110,8 +112,6 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
     if m < 2:
         raise DomainError(f"need m >= 2, got {m}")
     z = complex(z)
-    if not math.isfinite(math.hypot(z.real, z.imag)):
-        raise DomainError(f"need finite z with |z| in double range, got {z}")
     if z == 0:
         return 1.0 + 0j
     _check_pole_distance(m, z)
@@ -171,17 +171,15 @@ def series_coefficient(m: int, n: int) -> float:
     return (-1 if n % 2 else 1) * math.exp(coefficient_log_parts(m, n))
 
 
-def product_coefficient(m: int, n: int, n_factors: int) -> float:
-    """lambda_n from the truncated product over s = 1..n_factors, s != n,
-    with its full tail; an independent check on `series_coefficient`."""
+def product_coefficient(m: int, n: int) -> float:
+    """lambda_n from the truncated product over s = 1..8n, s != n, with its
+    full tail; an independent check on `series_coefficient`."""
     if m < 2 or n < 1:
         raise DomainError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
-    if n_factors < 4 * n:
-        raise DomainError("product route needs at least 4n factors")
     # lambda_n = -(1/m) prod_{s != n} 1/(1 - (n/s)^m), whose n - 1 factors
     # with s < n are negative: the sign is (-1)^n.
     sign = -1 if n % 2 else 1
-    return sign * math.exp(_log_truncated_product(m, n, n_factors, skip=n).real) / m
+    return sign * math.exp(_log_truncated_product(m, n, 8 * n, skip=n).real) / m
 
 
 def unity_product_pfd(m: int, z: complex, n_terms: int) -> ConvergenceReport:

@@ -147,7 +147,7 @@ def _suite_phi():
     for m in (2, 3, 4, 5):
         for n in range(1, 16):
             cf = series_coefficient(m, n)
-            pr = product_coefficient(m, n, 8 * n)
+            pr = product_coefficient(m, n)
             worst = max(worst, abs(pr - cf) / abs(cf))
     _check(res, "phi", "coefficient route agreement", worst, 1e-6)
     ok = True

@@ -35,7 +35,7 @@ def zeta_term(m: int, n: int) -> float:
         # t_1 = prod_{s>=2} 1/(1 - s^-m) carries nearly all of zeta(m)'s
         # error: the closed form's m - 1 Lanczos log-gammas leave it ~4e-15
         # off, the product of 8 factors and its tail ~1e-16.
-        return -m * product_coefficient(m, 1, 8)
+        return -m * product_coefficient(m, 1)
     # term = -m * lambda_n / n^m; lambda_n has sign (-1)^n
     return (1 if n % 2 else -1) * math.exp(math.log(m) + coefficient_log_parts(m, n)
                                            - m * math.log(n))

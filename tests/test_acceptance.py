@@ -140,7 +140,7 @@ def test_criterion_06_coefficient_routes_and_bounds():
     for m in (2, 3, 4, 5):
         for n in range(1, 16):
             cf = series_coefficient(m, n)
-            pr = product_coefficient(m, n, 8 * n)
+            pr = product_coefficient(m, n)
             ok &= abs(pr - cf) < 1e-6 * abs(cf)
     for m in (3, 4, 5):
         for n in range(1, 31):

@@ -68,6 +68,23 @@ def test_modulus_product_rejects_non_finite_input(a, z):
         modulus_product(a, z, 5)
 
 
+@pytest.mark.parametrize("fn, args, error, match", [
+    (modulus_product, (1.0, 0.3, 0), DomainError, "n_factors"),
+    (modulus_product, (0.5, 1.5, 5), PoleError, "hits pole"),
+    # a - 1 + k is exactly 0 (for |a| < 2^-53, a - 1.0 rounds to -1.0)
+    (modulus_product, (0.0, 0.3, 5), PoleError, "hits pole"),
+    (modulus_product, (-1.0, 0.3, 5), PoleError, "hits pole"),
+    (modulus_product, (1e-300, 0.3, 5), PoleError, "hits pole"),
+    (gamma_pfd_series, (-2.0, 0.3, 16, EULER), PoleError, r"Gamma\(a\)\^2 pole"),
+    (gamma_pfd_series, (1.5, 0.3, 0, EULER), DomainError, "n_terms"),
+    (inverse_square_series, (-1.0, 16, EULER), DomainError, "q > -1"),
+    (inverse_square_series, (0.5, 0, EULER), DomainError, "n_terms"),
+])
+def test_bad_input_raises_its_typed_error(fn, args, error, match):
+    with pytest.raises(error, match=match):
+        fn(*args)
+
+
 @pytest.mark.parametrize("series, args", [(gamma_pfd_series, (0.7, 0.3)),
                                           (inverse_square_series, (0.5,))],
                          ids=["gamma_pfd_series", "inverse_square_series"])

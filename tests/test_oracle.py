@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import mpmath as mp
 import pytest
@@ -67,6 +68,17 @@ def test_precision_config_by_keyword():
             config.trace_enabled) == (8, 1e-6, "euler", False)
     assert config != PrecisionConfig(max_terms=8, target_abs_error=1e-6,
                                      method="euler")
+
+
+def test_precision_config_is_an_immutable_tuple():
+    config = PrecisionConfig(max_terms=8)
+    assert config == (8, 1e-12, "cvz", True)
+    assert hash(config) == hash(PrecisionConfig(max_terms=8))
+    assert pickle.loads(pickle.dumps(config)) == config
+    with pytest.raises(AttributeError):
+        config.max_terms = 16
+    with pytest.raises(AttributeError):
+        config.extra = 1
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -15,6 +15,7 @@ from omega_zeta import (
     zeta3,
     zeta_series,
 )
+from omega_zeta.verify import CheckResult
 
 LIBRARY_MODULES = (accel, gamma_pfd, oracle, pfd, special, unity_product,
                    zeta3, zeta_series)
@@ -27,3 +28,9 @@ def test_package_exports_exactly_the_modules_all():
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported - error_names == declared
 
+
+def test_records_are_named_tuples():
+    # one mechanism: immutable, hashable, equal to a plain tuple of their fields
+    for record in (omega_zeta.ConvergenceReport, omega_zeta.PrecisionConfig,
+                   omega_zeta.PfdResult, CheckResult):
+        assert issubclass(record, tuple) and record._fields

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from omega_zeta import (
     DomainError,
+    GammaProduct,
     PoleError,
     exp_log,
     gamma,
@@ -19,6 +20,7 @@ from omega_zeta import (
     log_sinh,
     roots_of_unity,
     trigamma,
+    unity_gamma_product,
 )
 
 mp.mp.dps = 30
@@ -154,6 +156,10 @@ def test_log_sinh_log_cosh():
     assert abs(log_sinh(0.1) - math.log(math.sinh(0.1))) < 1e-14
     assert abs(log_cosh(100.0) - (100.0 - math.log(2))) < 1e-12
     assert abs(log_sinh(300.0) - (300.0 - math.log(2))) < 1e-12
+    with pytest.raises(DomainError):
+        log_sinh(0.0)
+    with pytest.raises(DomainError):
+        log_cosh(-1.0)
 
 
 def test_log_complex_normalization_and_overflow():
@@ -194,6 +200,9 @@ def test_log_sin_real_part_across_branch_switch(z):
 def test_gamma_overflow_message():
     with pytest.raises(OverflowError, match="exceeds double range"):
         gamma(200.0)
+    # |z| is finite, but the reflection's pi*z is not
+    with pytest.raises(OverflowError, match=r"pi\*z exceeds double range"):
+        unity_gamma_product(3, 1e308 + 1e308j, GammaProduct())
 
 
 @pytest.mark.parametrize("fn, args", [
@@ -201,9 +210,15 @@ def test_gamma_overflow_message():
     (log_gamma, (complex(1.0, math.nan),)), (log_gamma, (complex(-2.5, math.inf),)),
     (log_sin, (math.nan,)), (log_sin, (complex(0.3, math.inf),)),
     (gamma, (math.nan,)), (gamma_pair, (math.nan, 0.3)),
+    (trigamma, (math.nan,)), (trigamma, (math.inf,)),
+    (log_sinh, (math.nan,)), (log_sinh, (math.inf,)),
+    (log_cosh, (math.nan,)), (log_cosh, (math.inf,)),
 ], ids=["lg-nan", "lg-inf", "lg-minus-inf", "lg-nan-imag", "lg-reflected-inf-imag",
-        "ls-nan", "ls-inf-imag", "gamma-nan", "gamma-pair-nan"])
+        "ls-nan", "ls-inf-imag", "gamma-nan", "gamma-pair-nan",
+        "trigamma-nan", "trigamma-inf", "log-sinh-nan", "log-sinh-inf",
+        "log-cosh-nan", "log-cosh-inf"])
 def test_non_finite_argument_is_a_domain_error(fn, args):
-    # Not "cannot convert float NaN to integer" from round(), nor nan+nanj.
-    with pytest.raises(DomainError, match="needs finite z"):
+    # Not "cannot convert float NaN to integer" from round(), nor nan+nanj,
+    # nor a nan or inf passed through.
+    with pytest.raises(DomainError, match="needs finite"):
         fn(*args)

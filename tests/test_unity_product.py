@@ -64,9 +64,23 @@ def test_pole_and_domain_errors():
         unity_gamma_product(3, 0.97, ExpZetaSeries())
     with pytest.raises(DomainError):
         unity_gamma_product(1, 0.5, GammaProduct())
-    # The truncated route's tail diverges beyond its 1000 factors.
+    # The truncated route's tail diverges beyond its 1000 factors, and just
+    # inside them it cannot reach double precision in 400 powers.
     with pytest.raises(DomainError):
         unity_gamma_product(2, 1200.5 + 0.5j, TruncatedProduct())
+    with pytest.raises(DomainError, match="does not converge"):
+        unity_gamma_product(2, 1000.9, TruncatedProduct())
+    with pytest.raises(DomainError, match="need finite z"):
+        unity_gamma_product(3, complex(math.nan, 0), GammaProduct())
+    for z in (complex(math.nan, 0), complex(0.2, math.nan)):
+        with pytest.raises(DomainError, match="need finite z"):
+            unity_product_pfd(3, z, 5)
+    with pytest.raises(DomainError):
+        unity_product_pfd(3, 0.3, 0)
+    with pytest.raises(DomainError):
+        series_coefficient(3, 0)
+    with pytest.raises(DomainError):
+        product_coefficient(1, 2)
 
 
 @pytest.mark.parametrize("m,z", [(500, 3 * (1 + 1e-13)), (3, 1 + 1e-10j),
@@ -88,7 +102,7 @@ def test_coefficient_routes_agree():
     for m in (2, 3, 4, 5):
         for n in (1, 2, 5, 9, 15):
             cf = series_coefficient(m, n)
-            pr = product_coefficient(m, n, 8 * n)
+            pr = product_coefficient(m, n)
             assert abs(pr - cf) < 1e-6 * abs(cf)
 
 
@@ -107,12 +121,7 @@ def test_product_coefficient_at_large_m(m):
     with mp.workdps(40):
         ref = mp.fprod(mp.gamma(1 - mp.expjpi(mp.mpf(2 * j) / m) * 2)
                        for j in range(1, m)) / 2
-        assert abs(product_coefficient(m, 2, 16) - ref) <= 1e-13 * abs(ref)
-
-
-def test_product_route_needs_enough_factors():
-    with pytest.raises(DomainError):
-        product_coefficient(3, 10, 20)
+        assert abs(product_coefficient(m, 2) - ref) <= 1e-13 * abs(ref)
 
 
 def test_pfd_series_against_closed_form():

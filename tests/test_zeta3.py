@@ -32,11 +32,15 @@ ZETA3 = zeta_oracle(3)
 def test_p_poly_small():
     assert abs(p_poly(1)) < 1e-15  # P(1) = 1
     assert abs(p_poly(2) - math.log(63)) < 1e-14
+    with pytest.raises(DomainError):
+        p_poly(0)
 
 
 def test_q_poly_small():
     assert abs(q_poly(1) - math.log(4)) < 1e-15
     assert abs(q_poly(2) - math.log(208)) < 1e-14
+    with pytest.raises(DomainError):
+        q_poly(0)
 
 
 @pytest.mark.parametrize("d", [10, 50])
