@@ -50,6 +50,9 @@ class AccelerationMethod(Enum):
         raise DomainError(f"unknown method {value!r}; use one of {names}")
 
 
+_METHODS = {key: m for m in AccelerationMethod for key in (m, m.value)}
+
+
 # The result of a series evaluation.
 ConvergenceReport = namedtuple("ConvergenceReport", "value terms_used error_estimate method")
 
@@ -100,20 +103,19 @@ def _first_terms(term, count, *head):
     return tuple([term(*head, n) for n in range(1, count + 1)])
 
 
-def euler_average(values):
-    """Euler transform of the real partial sums `values`.
+def euler_average(terms):
+    """Euler transform of the real series `terms`.
 
-    Returns (limit, error_estimate).  With N sums S_0..S_(N-1) the limit
-    is the binomial mean
-
-        last = sum_k C(N-1,k) S_k / 2^(N-1),
-
+    Returns (limit, error_estimate).  With N partial sums S_0..S_(N-1)
+    the limit is the binomial mean last = sum_k C(N-1,k) S_k / 2^(N-1),
     the last entry of the triangle that averages neighbouring sums N-1
     times, and the truncation estimate is |last - prev|, where prev is
-    the same mean of the first N-1 sums (the entry one averaging step
-    earlier).  A single sum is its own limit, with estimate |S_0|.
+    the same mean of the first N-1 sums.  By Pascal's rule C(N-1,k) =
+    C(N-2,k) + C(N-2,k-1), last - prev = 1/2 sum_j w'_j t_(j+1) with
+    w'_j = C(N-2,j)/2^(N-2), summed from the terms.  A single term is its
+    own limit, with estimate |t_0|.
 
-    Both means are summed over one window of weights, the k = lo .. N-1-lo
+    Both sums run over one window of weights, the k = lo .. N-1-lo
     with w_k = C(N-1,k)/2^(N-1) >= u^2 = 2^-106 (u = 2^-53, _CUT = 106): a
     smaller weight cannot reach a double result that has not cancelled to
     within a few u of its sums.  The weights follow a normal density of
@@ -136,7 +138,8 @@ def euler_average(values):
 
     * the sums come from recursive summation, S'_k = fl(S'_(k-1) + t_k),
       so |S'_k - S_k| <= u A_k with A_k = sum_(i<=k) |S'_i| (Higham
-      section 4.2); through the mean this is at most u sum_(k in W) w_k A_k;
+      section 4.2); through the mean this is at most u sum_(k in W) w_k A_k
+      = u sum_i |S'_i| T_i, with T_i = sum_(k in W, k >= i) w_k;
     * each weight w'_k = c_k / 2^(N-1) is one correctly rounded division
       of exact integers: |w'_k - w_k| <= u w'_k, and w'_k |S'_k| is at
       most (1+u)|p_k| for the product p_k = fl(w'_k S'_k);
@@ -148,29 +151,30 @@ def euler_average(values):
 
     Together |last - sum_k w_k S_k| is at most
 
-        u (|last| + (2+u) sum_(k in W) |p_k| + sum_(k in W) w_k A_k)
+        u (|last| + (2+u) sum_(k in W) |p_k| + sum_i |S'_i| T_i)
           + (1+u) D + 2^-1075 (2N + 1 + A_(N-1)).
 
     The code doubles every coefficient, which covers the u^2 and u D terms
     and the roundings made in evaluating the bound itself: its sums of
-    nonnegative numbers (the A_k, sum |p_k| and sum w_k A_k) are plain
-    recursive sums, within a factor 1 + 2Nu of exact, far below 2 for
+    nonnegative numbers (T_i, A_(N-1), sum |p_k| and sum |S'_i| T_i), in
+    any order, are within a factor 1 + 2Nu of exact, far below 2 for
     any N that fits in memory.  Summed over every weight, the bound would
     hold 2u (2|p_k| + w_k A_k) for each k left out, in all at most
     2u m (3 max|S'_k| + A_(N-1)) <= 8u D, which 2D covers: the window never
-    makes the bound smaller.  The rounding of prev only perturbs the
-    truncation estimate, so prev is the fsum of its window's products
-    alone, the same float as its binomial mean, and only 2 m' A_(N-1), for
-    the mass m' its own window leaves out, joins the estimate.
+    makes the bound smaller.  The step only perturbs the truncation
+    estimate: it is a plain sum, plus 2u sum_j |w'_j t_(j+1)| for its
+    roundings and those of the S'_k the terms stand in for, 3u |last| for
+    those that two rounded means and their products would put in it, and
+    2 m' A_(N-1) for the mass m' its window leaves out.
     """
-    values = list(values)
-    n = len(values)
+    n = len(terms)
     if n == 1:
-        return values[0], abs(values[0])
-    last, rounding, total = _binomial_mean(values)
+        return terms[0], abs(terms[0])
+    last, rounding, total = _binomial_mean(list(accumulate(terms)))
     lo, weights, mass = _binomial_weights(n - 2)
-    prev = math.fsum(map(operator.mul, weights, values[lo:]))
-    return last, abs(last - prev) + 2.0 * mass * total + rounding
+    steps = list(map(operator.mul, weights, terms[lo + 1:]))
+    return last, (abs(sum(steps)) / 2.0 + _U * (3.0 * abs(last) + 2.0 * sum(map(abs, steps)))
+                  + 2.0 * mass * total + rounding)
 
 
 @lru_cache(maxsize=None)
@@ -194,15 +198,22 @@ def _binomial_weights(n):
     return lo, tuple(weights), mass
 
 
+@lru_cache(maxsize=None)
+def _tail_weights(n):
+    """The suffix sums T_k of _binomial_weights(n)'s window, cached alike."""
+    return tuple(accumulate(reversed(_binomial_weights(n)[1])))[::-1]
+
+
 def _binomial_mean(sums):
     """(sum_k w_k s_k, rounding bound, A_n = sum_k |s_k|) as derived in
     euler_average, with 2D = 2 m A_n in the bound."""
     lo, weights, mass = _binomial_weights(len(sums) - 1)
+    tails = _tail_weights(len(sums) - 1)
     products = list(map(operator.mul, weights, sums[lo:]))
     mean = math.fsum(products)
-    running = list(accumulate(map(abs, sums)))
-    total = running[-1]
-    drift = sum(map(operator.mul, weights, running[lo:]))
+    magnitudes = list(map(abs, sums))
+    total = sum(magnitudes)
+    drift = sum(map(operator.mul, tails, magnitudes[lo:]), tails[0] * sum(magnitudes[:lo]))
     bound = (2.0 * _U * (abs(mean) + 2.0 * sum(map(abs, products)) + drift)
              + 2.0 * mass * total + _TINY * (2 * len(sums) + 1 + total))
     return mean, bound, total
@@ -238,8 +249,8 @@ def _cvz(terms):
     sum is one builtin `sum`: left to right through Python 3.11, as the
     recurrence's loop added, compensated from 3.12 (see README)."""
     signs = list(map(math.copysign, repeat(1.0), terms))
-    same = list(map(operator.eq, signs, signs[1:]))
-    if True in same:
+    if signs[0::2].count(signs[0]) + signs[1::2].count(-signs[0]) < len(signs):
+        same = list(map(operator.eq, signs, signs[1:]))
         raise SignPatternError(
             f"terms must strictly alternate in sign (index {same.index(True) + 1})")
     weights, d = _cvz_weights(len(terms))
@@ -247,6 +258,14 @@ def _cvz(terms):
     s = sum(map(operator.mul, weights, magnitudes))
     a_max = max(magnitudes)
     return signs[0] * (s / d), max(3.0 * a_max / d, 16.0 * _U * a_max)
+
+
+def _method(method):
+    """The AccelerationMethod named by `method`, a member or its value."""
+    try:
+        return _METHODS[method]
+    except (KeyError, TypeError):  # the enum raises DomainError
+        return AccelerationMethod(method)
 
 
 def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceReport:
@@ -261,22 +280,28 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
     hypot(re_est, im_est); one with no imaginary part is summed as real.
     A term that is not finite raises DomainError, and a value or estimate
     that leaves the double range raises OverflowError; the terms are only
-    looked at once the sum has failed.
+    looked at once the sum has failed.  A list or tuple of floats is not copied.
     """
-    method = AccelerationMethod(method)
-    terms = list(terms)
-    try:
-        real, imag = list(map(float, terms)), []
-    except TypeError:
-        terms = list(map(complex, terms))
-        real, imag = [t.real for t in terms], [t.imag for t in terms]
-    if not terms:
+    method = _method(method)
+    if type(terms) is not list and type(terms) is not tuple:
+        terms = list(terms)
+    kind = type(sum(terms))  # complex exactly when some term is
+    if kind is complex:
+        return _sum_parts([t.real for t in terms], [t.imag for t in terms], method)
+    return _sum_parts(terms if kind is float else list(map(float, terms)), (), method)
+
+
+def _sum_parts(real, imag, method):
+    """sum_alternating of the series with parts `real` and `imag` (() if real)."""
+    n = len(real)
+    if not n:
         raise DomainError("empty term list")
-    n = len(terms)
+    failure = None
     try:
         if method is AccelerationMethod.NO_ACCELERATION:
-            last = abs(terms[-1])  # an inf last term is not growth: see below
-            if n >= 8 and math.inf > last > 1.2 * abs(terms[n // 2]):
+            end, mid = (complex(real[i], imag[i]) if imag else real[i] for i in (-1, n // 2))
+            last = abs(end)  # not math.hypot, which can round apart; inf is no growth
+            if n >= 8 and math.inf > last > 1.2 * abs(mid):
                 raise DivergenceError(
                     f"series terms grow (|term {n}| = {last:.3g} > 1.2 |term "
                     f"{n // 2 + 1}|); use an accelerated method")
@@ -288,19 +313,13 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
             return ConvergenceReport(value, n, est, method)
     except (OverflowError, ValueError):  # fsum past the double range or at
         pass                             # inf - inf, abs of a huge complex
-    except SignPatternError:  # a nan has no sign for CVZ to alternate
-        _require_finite(terms)
-        raise
-    _require_finite(terms)
-    raise OverflowError(f"sum_alternating: the {method.value} sum of {n} terms "
-                        "or its estimate exceeds double range")
-
-
-def _require_finite(terms):
-    """DomainError naming the first term that is inf or nan, if any."""
-    for k, t in enumerate(terms, 1):
+    except SignPatternError as exc:  # a nan has no sign for CVZ to alternate
+        failure = exc
+    for k, t in enumerate(map(complex, real, imag) if imag else real, 1):
         if not cmath.isfinite(t):
             raise DomainError(f"term {k} is {t}: terms must be finite")
+    raise failure or OverflowError(f"sum_alternating: the {method.value} sum of {n} "
+                                   "terms or its estimate exceeds double range")
 
 
 def _sum_real(terms, method):
@@ -309,5 +328,5 @@ def _sum_real(terms, method):
         # the last term, plus fsum's and the terms' rounding
         return math.fsum(terms), abs(terms[-1]) + 4.0 * _U * sum(map(abs, terms))
     if method is AccelerationMethod.EULER_TRANSFORM:
-        return euler_average(list(accumulate(terms)))
+        return euler_average(terms)
     return _cvz(terms)

@@ -18,7 +18,7 @@ import math
 import operator
 from itertools import cycle
 
-from .accel import AccelerationMethod, ConvergenceReport, log_hypergeometric, sum_alternating
+from .accel import AccelerationMethod, ConvergenceReport, _method, _sum_parts, log_hypergeometric
 from .errors import DomainError, PoleError
 from .special import exp_log, log_gamma, trigamma
 
@@ -39,14 +39,14 @@ def gamma_pair(a: complex, z: complex) -> complex:
     return exp_log(log_gamma(a + z) + log_gamma(a - z))
 
 
-def _sum_own_terms(terms, method):
-    """sum_alternating over terms built here from finite inputs, where a term
-    that is not finite can only be an overflow (a product past the double
-    range, or inf times 0 in complex arithmetic): it raises OverflowError."""
+def _sum_own_terms(real, imag, method):
+    """sum_alternating of terms built here from finite inputs, as parts, where
+    a term that is not finite can only be an overflow (a product past the
+    double range, or inf times 0 in complex arithmetic): OverflowError."""
     try:
-        return sum_alternating(terms, method)
+        return _sum_parts(real, imag, method)
     except DomainError:
-        if all(map(cmath.isfinite, terms)):
+        if all(map(math.isfinite, real)) and all(map(math.isfinite, imag)):
             raise
     raise OverflowError("a term exceeds double range")
 
@@ -110,7 +110,7 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     formula, which complex division can lose.  They alternate strictly
     from the first k with 2a+k > 0 and (a+k)^2 > z^2 on (for real z with
     |z| > a the earlier terms have the flipped sign).  The terms before
-    that k are added with fsum and only the rest goes to `sum_alternating`,
+    that k are added with fsum and only the rest goes to `_sum_parts`,
     so CVZ sees an alternating series and the value is a float exactly
     when z^2 is real.
 
@@ -119,7 +119,7 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     lgamma and `accel.log_hypergeometric` the rest, so the terms stay
     within about 1e-14 relative of their exact values up to N = 1024.
     """
-    method = AccelerationMethod(method)
+    method = _method(method)
     a = float(a)
     z = complex(z)
     if not (math.isfinite(a) and cmath.isfinite(z)):
@@ -138,7 +138,8 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
                                    ((2.0 * a - 1.0, 1, 1.0), (1.0, a, -1.0)),
                                    0, n_terms)
     dens = [zz - (a + k) * (a + k) for k in range(n_terms)]
-    if min(map(abs, dens)) <= _POLE_DIST:
+    # |den| >= |Im den| = |Im z^2|, so only a near-real z^2 can meet a pole
+    if abs(z2.imag) <= _POLE_DIST and min(map(abs, dens)) <= _POLE_DIST:
         k = next(k for k, den in enumerate(dens) if abs(den) <= _POLE_DIST)
         raise PoleError(f"z = {z} within tolerance of pole at a+{k}")
     # 2 (-1)^(k+1) sign(c_k); 2a+k < 0 for k <= -2a, Gamma(2a+k) < 0 at odd floors
@@ -156,7 +157,8 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
         while k < n_terms - 1 and (2.0 * a + k <= 0 or (a + k) ** 2 <= z2.real):
             k += 1
     head = math.fsum(terms[:k])
-    rep = _sum_own_terms(terms[k:], method)
+    parts = ([t.real for t in terms], [t.imag for t in terms]) if z2.imag else (terms[k:], ())
+    rep = _sum_own_terms(*parts, method)
     return ConvergenceReport(ga2 + head + rep.value, n_terms, rep.error_estimate, method)
 
 
@@ -170,7 +172,7 @@ def inverse_square_series(q: float, n_terms: int,
     -(1 + (2q+1)/n) / (1 + 1/(q+n))^3: log|t_1| takes the only lgamma calls
     and `accel.log_hypergeometric` the rest.
     """
-    method = AccelerationMethod(method)
+    method = _method(method)
     if not math.isfinite(q):
         raise DomainError(f"need finite q, got q = {q}")
     if q <= -1:
@@ -184,4 +186,4 @@ def inverse_square_series(q: float, n_terms: int,
     log_mags = log_hypergeometric(log_t1, ((2.0 * q + 1.0, 0, 1.0), (1.0, q, -3.0)),
                                   1, n_terms)
     terms = list(map(operator.mul, cycle((2.0, -2.0)), map(math.exp, log_mags)))
-    return _sum_own_terms(terms, method)
+    return _sum_own_terms(terms, (), method)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .accel import AccelerationMethod
+from .accel import _method
 from .errors import DomainError
 from .special import _BERNOULLI
 
@@ -34,7 +34,7 @@ class PrecisionConfig(namedtuple("PrecisionConfig",
             raise DomainError("max_terms must be >= 1")
         if target_abs_error <= 0:
             raise DomainError("target_abs_error must be > 0")
-        AccelerationMethod(method)
+        _method(method)
         return tuple.__new__(cls, (max_terms, target_abs_error, method, trace_enabled))
 
 

@@ -190,13 +190,15 @@ def unity_product_pfd(m: int, z: complex, n_terms: int) -> ConvergenceReport:
     with `error_estimate` the conservative tail bound
     m|z|^m sum_{n>N} 1/(n^m - |z|^m), which holds for |z| < N + 1 only.
     """
-    if n_terms < 1:
-        raise DomainError("need n_terms >= 1")
+    if m < 2 or n_terms < 1:
+        raise DomainError(f"need m >= 2 and n_terms >= 1, got m={m}, n_terms={n_terms}")
     z = complex(z)
     if abs(z) >= n_terms + 1:
         raise DomainError(f"a series of {n_terms} terms needs "
                           f"|z| < {n_terms + 1}, got |z| = {abs(z):.4g}")
     _check_pole_distance(m, z)
+    if z and math.log(m) + m * math.log(abs(z)) > 709.78:  # log of the largest double
+        raise DomainError(f"the series needs m |z|^m < 1.8e308, got m = {m}, |z| = {abs(z):.4g}")
     s = 1.0 + 0j
     for n in range(1, n_terms + 1):
         w = (z / n) ** m

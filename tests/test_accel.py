@@ -20,6 +20,7 @@ from omega_zeta.accel import (
     _binomial_weights,
     _cvz,
     _cvz_weights,
+    _tail_weights,
     euler_average,
     log_hypergeometric,
 )
@@ -133,7 +134,9 @@ def test_complex_terms_with_no_imaginary_part_sum_as_real(method):
                          ids=["real", "complex", "mixed"])
 @pytest.mark.parametrize("method", list(AccelerationMethod))
 def test_iterator_of_terms_sums_like_a_list(terms, method):
-    assert sum_alternating(iter(terms), method) == sum_alternating(terms, method)
+    report = sum_alternating(terms, method)
+    assert sum_alternating(iter(terms), method) == report
+    assert sum_alternating(tuple(terms), method) == report
 
 
 def test_complex_terms_cvz_sums_each_part():
@@ -205,7 +208,7 @@ def _exact_mean(sums):
 def test_euler_closed_form_matches_triangle(kind, n):
     for terms in _real_series(kind, n):
         sums = list(accumulate(terms))
-        value, est = euler_average(sums)
+        value, est = euler_average(terms)
         ref_value, ref_est = euler_triangle(sums)
         ulps = 4 * math.ulp(max(abs(s) for s in sums))
         assert abs(value - ref_value) <= ulps
@@ -219,11 +222,14 @@ def test_euler_rounding_bound_holds_exactly(kind, n):
     # range, down to 0.0.
     for terms in _real_series(kind, n):
         sums = list(accumulate(terms))
-        value, est = euler_average(sums)
+        value, est = euler_average(terms)
         last, rounding, total = _binomial_mean(sums)
-        prev = _binomial_mean(sums[:-1])[0]
-        mass = _binomial_weights(n - 2)[2]
-        assert (value, est) == (last, abs(last - prev) + 2.0 * mass * total + rounding)
+        # the step last - prev by Pascal's rule, over the N - 2 weights
+        lo, weights, mass = _binomial_weights(n - 2)
+        steps = [w * t for w, t in zip(weights, terms[lo + 1:])]
+        allowance = 2.0 ** -53 * (3.0 * abs(last) + 2.0 * sum(map(abs, steps)))
+        assert (value, est) == (last, abs(sum(steps)) / 2.0 + allowance
+                                + 2.0 * mass * total + rounding)
         # The Euler sum of the float partial sums as given ...
         given = _exact_mean(list(map(Fraction, sums)))
         assert abs(Fraction(value) - given) <= rounding
@@ -288,10 +294,44 @@ def _window_families(n):
 def test_euler_window_matches_the_full_sum(n):
     for name, terms in _window_families(n):
         sums = list(accumulate(terms))
-        value, est = euler_average(sums)
+        value, est = euler_average(terms)
         ref, ref_est = _euler_full(sums)
         assert value.hex() == ref.hex(), name
         assert est >= ref_est, name
+
+
+@pytest.mark.parametrize("n", [2, 17, 64, 127, 128, 256, 512, 1024, 1100, 4096])
+def test_euler_step_is_half_the_next_weighted_term_sum(n):
+    # Pascal's rule C(N-1,k) = C(N-2,k) + C(N-2,k-1) makes the step of the
+    # means exact: last - prev = 1/2 sum_j w'_j (S_(j+1) - S_j).
+    # Each side is counted in units of 2^-(N-1) times the finest sum's last
+    # bit, where every quantity is an exact integer.
+    def binomials(m):
+        row = [1]
+        for k in range(m):
+            row.append(row[-1] * (m - k) // (k + 1))
+        return row
+
+    for name, terms in _window_families(n):
+        sums = [s.as_integer_ratio() for s in accumulate(terms)]
+        unit = max(d for _, d in sums)
+        sums = [p * (unit // d) for p, d in sums]
+        step = sum(map(operator.mul, binomials(n - 2), map(operator.sub, sums[1:], sums)))
+        last = sum(map(operator.mul, binomials(n - 1), sums))
+        prev = 2 * sum(map(operator.mul, binomials(n - 2), sums))
+        assert step == last - prev, name
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 256, 1023, 4095])
+def test_tail_weights_are_the_suffix_sums_of_the_window(n):
+    _, weights, _ = _binomial_weights(n)
+    tails = _tail_weights(n)
+    assert type(tails) is tuple and len(tails) == len(weights)
+    assert _tail_weights(n) is tails
+    exact = list(accumulate(map(Fraction, reversed(weights))))[::-1]
+    for k, (tail, ref) in enumerate(zip(tails, exact)):
+        # a suffix of len(weights) - k roundings, each within u of its sum
+        assert abs(Fraction(tail) - ref) <= (len(weights) - k) * 2.0 ** -53 * ref
 
 
 def test_euler_window_holds_order_sqrt_n_weights():
@@ -374,7 +414,7 @@ def test_euler_estimate_is_never_zero(n):
     # last == prev, where the estimate used to be exactly 0.0.
     for terms in ([1.0] + [0.0] * (n - 1), _series("divergent", n)):
         assert sum_alternating(terms, EULER).error_estimate > 0.0
-    assert euler_average([1e-300] * n)[1] > 0.0
+    assert euler_average([1e-300] + [0.0] * (n - 1))[1] > 0.0
 
 
 @pytest.mark.parametrize("method", list(AccelerationMethod))

@@ -14,10 +14,9 @@ from omega_zeta import (
     gamma_pfd_series,
     inverse_square_series,
     modulus_product,
-    sum_alternating,
     trigamma,
 )
-from omega_zeta.accel import log_hypergeometric
+from omega_zeta.accel import _sum_parts, log_hypergeometric
 
 CVZ = AccelerationMethod.CHEBYSHEV_ALTERNATING
 EULER = AccelerationMethod.EULER_TRANSFORM
@@ -261,7 +260,8 @@ def _per_term(a, z, n_terms):
 @pytest.fixture
 def built_terms(monkeypatch):
     """Every term gamma_pfd_series builds, in order: the head it adds with
-    fsum, then the rest it passes to sum_alternating."""
+    fsum, then the rest, whose real and imaginary parts it passes to the
+    summation engine."""
     seen = []
 
     class Math:
@@ -274,12 +274,12 @@ def built_terms(monkeypatch):
             seen.extend(values)
             return math.fsum(values)
 
-    def capture(terms, method):
-        seen.extend(terms)
-        return sum_alternating(terms, method)
+    def capture(real, imag, method):
+        seen.extend(map(complex, real, imag) if imag else real)
+        return _sum_parts(real, imag, method)
 
     monkeypatch.setattr(gamma_pfd_module, "math", Math())
-    monkeypatch.setattr(gamma_pfd_module, "sum_alternating", capture)
+    monkeypatch.setattr(gamma_pfd_module, "_sum_parts", capture)
     return seen
 
 
@@ -318,10 +318,12 @@ def test_series_terms_even_in_z_where_they_underflow(built_terms, z):
 
 
 @pytest.mark.parametrize("a,z,k", [(0.25, 2.25, 2), (0.25, -2.25, 2),
+                                   (0.25, 2.25 + 1e-12j, 2),
                                    (-1.5 + 1e-10, 0.5, 1), (84.0, 91.0, 7)])
 def test_series_pole_names_the_first_k(a, z, k):
     # z^2 = (a+k)^2; at a = -1.5 + 1e-10 both k = 1 and k = 2 are within
     # the tolerance.  At a = 84 the pole is found before the term at k = 6
-    # overflows.
+    # overflows.  A z^2 with an imaginary part within the tolerance is still
+    # scanned.
     with pytest.raises(PoleError, match=rf"pole at a\+{k}$"):
         gamma_pfd_series(a, z, 16, EULER)

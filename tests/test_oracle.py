@@ -86,6 +86,7 @@ def test_precision_config_is_an_immutable_tuple():
     ({"target_abs_error": 0.0}, "target_abs_error must be > 0"),
     ({"target_abs_error": -1e-9}, "target_abs_error must be > 0"),
     ({"method": "bogus"}, "unknown method 'bogus'"),
+    ({"method": ["x"]}, r"unknown method \['x'\]"),
 ])
 def test_precision_config_rejects_bad_settings(kwargs, message):
     with pytest.raises(DomainError, match=message):

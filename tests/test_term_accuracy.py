@@ -2,8 +2,8 @@
 
 `gamma_pfd_series` and `inverse_square_series` carry each term's
 log-magnitude as a running sum of log-ratio steps.  The terms are captured
-where they enter `sum_alternating` and compared one by one with 40-digit
-mpmath values formed from gamma functions directly.
+where their real and imaginary parts enter the summation engine and compared
+one by one with 40-digit mpmath values formed from gamma functions directly.
 """
 
 import random
@@ -12,7 +12,8 @@ import mpmath as mp
 import pytest
 
 import omega_zeta.gamma_pfd as gamma_pfd_module
-from omega_zeta import gamma_pfd_series, inverse_square_series, sum_alternating
+from omega_zeta import gamma_pfd_series, inverse_square_series
+from omega_zeta.accel import _sum_parts
 
 TERM_REL_TOL = 1e-13
 
@@ -52,14 +53,14 @@ def _inverse_square_grid():
 
 @pytest.fixture
 def captured(monkeypatch):
-    """Lists of terms passed to `sum_alternating` by `gamma_pfd`."""
+    """Lists of terms that `gamma_pfd` passes to `_sum_parts` as their parts."""
     seen = []
 
-    def capture(terms, method):
-        seen.append(list(terms))
-        return sum_alternating(terms, method)
+    def capture(real, imag, method):
+        seen.append(list(map(complex, real, imag)) if imag else list(real))
+        return _sum_parts(real, imag, method)
 
-    monkeypatch.setattr(gamma_pfd_module, "sum_alternating", capture)
+    monkeypatch.setattr(gamma_pfd_module, "_sum_parts", capture)
     return seen
 
 

@@ -144,6 +144,15 @@ def test_pfd_series_refuses_z_beyond_its_tail_bound(z):
         unity_product_pfd(20, z, 10)
 
 
+@pytest.mark.parametrize("z", [2.5, 1.9 + 0.1j, 1.8])
+def test_pfd_series_refuses_z_whose_power_leaves_the_double_range(z):
+    # w = (z/n)^1200 at n = 1 and m|z|^m leave the double range here (once
+    # Python's "complex exponentiation" OverflowError, and at 1.8 a nan
+    # estimate), while the product itself is far below it.
+    with pytest.raises(DomainError, match=r"needs m \|z\|\^m < 1.8e308"):
+        unity_product_pfd(1200, z, 10)
+
+
 def test_pfd_series_matches_gamma_route_within_tail():
     v = unity_product_pfd(3, 0.3, 100)
     ref = unity_gamma_product(3, 0.3, GammaProduct())
