@@ -1,7 +1,7 @@
 """Series representations of Riemann zeta values from gamma products at
 roots of unity, with the supporting partial-fraction machinery."""
 
-from .accel import AccelerationMethod, ConvergenceReport, sum_alternating
+from .accel import AccelerationMethod, ConvergenceReport, PrecisionConfig, sum_alternating
 from .errors import (
     DegenerateNodesError,
     DivergenceError,
@@ -16,7 +16,7 @@ from .gamma_pfd import (
     inverse_square_series,
     modulus_product,
 )
-from .oracle import PrecisionConfig, tail_power_sum, zeta_oracle
+from .oracle import tail_power_sum, zeta_oracle
 from .pfd import PfdResult, pfd_coefficients, pfd_residual
 from .special import (
     exp_log,

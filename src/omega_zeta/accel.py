@@ -30,6 +30,7 @@ from .errors import DivergenceError, DomainError, SignPatternError
 __all__ = [
     "AccelerationMethod",
     "ConvergenceReport",
+    "PrecisionConfig",
     "sum_alternating",
 ]
 
@@ -53,8 +54,39 @@ class AccelerationMethod(Enum):
 _METHODS = {key: m for m in AccelerationMethod for key in (m, m.value)}
 
 
+def _method(method):
+    """The AccelerationMethod named by `method`, a member or its value."""
+    try:
+        return _METHODS[method]
+    except (KeyError, TypeError):  # the enum raises DomainError
+        return AccelerationMethod(method)
+
+
 # The result of a series evaluation.
 ConvergenceReport = namedtuple("ConvergenceReport", "value terms_used error_estimate method")
+
+
+class PrecisionConfig(namedtuple("PrecisionConfig",
+                                 "max_terms target_abs_error method trace_enabled")):
+    """Truncation and acceleration settings for series evaluations.
+
+    Only `max_terms` and `method` are read.  `target_abs_error` and
+    `trace_enabled` stay because the benchmark's `perfbench/worker.py`
+    passes them by keyword.  `method` is one of "none", "euler", "cvz".
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, max_terms: int = 64, target_abs_error: float = 1e-12,
+                method: str = "cvz", trace_enabled: bool = True):
+        if not hasattr(max_terms, "__index__"):  # what range() takes: not 64.0
+            raise DomainError(f"max_terms must be an integer, got {max_terms!r}")
+        if max_terms < 1:
+            raise DomainError("max_terms must be >= 1")
+        if target_abs_error <= 0:
+            raise DomainError("target_abs_error must be > 0")
+        _method(method)
+        return tuple.__new__(cls, (max_terms, target_abs_error, method, trace_enabled))
 
 
 def _log_ratio(c, d, e, k):
@@ -171,7 +203,7 @@ def euler_average(terms):
     if n == 1:
         return terms[0], abs(terms[0])
     last, rounding, total = _binomial_mean(list(accumulate(terms)))
-    lo, weights, mass = _binomial_weights(n - 2)
+    lo, weights, _, mass = _binomial_weights(n - 2)
     steps = list(map(operator.mul, weights, terms[lo + 1:]))
     return last, (abs(sum(steps)) / 2.0 + _U * (3.0 * abs(last) + 2.0 * sum(map(abs, steps)))
                   + 2.0 * mass * total + rounding)
@@ -179,12 +211,10 @@ def euler_average(terms):
 
 @lru_cache(maxsize=None)
 def _binomial_weights(n):
-    """(lo, weights, m): the weights C(n,k) / 2^n >= 2^-_CUT, k = lo .. n - lo,
-    each rounded once from exact integers, and a bound m on the mass of the
-    2 lo weights left out (see euler_average).
-
-    The weights are a tuple, since the cache hands the same object to every
-    caller."""
+    """(lo, weights, tails, m): the weights C(n,k) / 2^n >= 2^-_CUT, k = lo ..
+    n - lo, each rounded once from exact integers, their suffix sums T_k and
+    a bound m on the mass of the 2 lo weights left out (see euler_average).
+    Tuples, since the cache hands the same objects to every caller."""
     floor = 1 << max(n - _CUT, 0)
     lo = bisect_left(range(n // 2 + 1), floor, key=partial(math.comb, n))
     scale = 1 << n
@@ -195,20 +225,13 @@ def _binomial_weights(n):
     for k in range(lo, n - lo + 1):
         weights.append(c / scale)
         c = c * (n - k) // (k + 1)
-    return lo, tuple(weights), mass
-
-
-@lru_cache(maxsize=None)
-def _tail_weights(n):
-    """The suffix sums T_k of _binomial_weights(n)'s window, cached alike."""
-    return tuple(accumulate(reversed(_binomial_weights(n)[1])))[::-1]
+    return lo, tuple(weights), tuple(accumulate(reversed(weights)))[::-1], mass
 
 
 def _binomial_mean(sums):
     """(sum_k w_k s_k, rounding bound, A_n = sum_k |s_k|) as derived in
     euler_average, with 2D = 2 m A_n in the bound."""
-    lo, weights, mass = _binomial_weights(len(sums) - 1)
-    tails = _tail_weights(len(sums) - 1)
+    lo, weights, tails, mass = _binomial_weights(len(sums) - 1)
     products = list(map(operator.mul, weights, sums[lo:]))
     mean = math.fsum(products)
     magnitudes = list(map(abs, sums))
@@ -258,14 +281,6 @@ def _cvz(terms):
     s = sum(map(operator.mul, weights, magnitudes))
     a_max = max(magnitudes)
     return signs[0] * (s / d), max(3.0 * a_max / d, 16.0 * _U * a_max)
-
-
-def _method(method):
-    """The AccelerationMethod named by `method`, a member or its value."""
-    try:
-        return _METHODS[method]
-    except (KeyError, TypeError):  # the enum raises DomainError
-        return AccelerationMethod(method)
 
 
 def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceReport:

@@ -13,10 +13,10 @@ import sys
 import time
 from itertools import accumulate
 
-from .accel import AccelerationMethod, sum_alternating
+from .accel import AccelerationMethod, PrecisionConfig, sum_alternating
 from .errors import DivergenceError, DomainError, OmegaZetaError
 from .gamma_pfd import gamma_pair, gamma_pfd_series
-from .oracle import PrecisionConfig, zeta_oracle
+from .oracle import zeta_oracle
 from .unity_product import ExpZetaSeries, GammaProduct, TruncatedProduct, unity_gamma_product
 from .zeta3 import Zeta3Variant, zeta3_series
 from .zeta_series import zeta_term, zeta_via_series
@@ -139,8 +139,6 @@ def _cmd_zeta3(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    if args.m < 2:
-        raise DomainError(f"zeta argument must be >= 2, got {args.m}")
     config = PrecisionConfig(max_terms=args.max_terms, method=args.method)
     terms = [zeta_term(args.m, n) for n in range(1, config.max_terms + 1)]
     ref = zeta_oracle(args.m)

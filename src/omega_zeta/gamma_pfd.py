@@ -134,14 +134,18 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     z2 = z * z
     zz = z2.real if z2.imag == 0 else z2
     ga2 = exp_log(2.0 * log_gamma(a)).real
-    log_coefs = log_hypergeometric(math.lgamma(2.0 * a) - math.log(abs(a)),
-                                   ((2.0 * a - 1.0, 1, 1.0), (1.0, a, -1.0)),
-                                   0, n_terms)
     dens = [zz - (a + k) * (a + k) for k in range(n_terms)]
     # |den| >= |Im den| = |Im z^2|, so only a near-real z^2 can meet a pole
     if abs(z2.imag) <= _POLE_DIST and min(map(abs, dens)) <= _POLE_DIST:
         k = next(k for k, den in enumerate(dens) if abs(den) <= _POLE_DIST)
         raise PoleError(f"z = {z} within tolerance of pole at a+{k}")
+    if z2 == 0:
+        # Every term is 0 (CVZ would reject them as not alternating), also
+        # where exp of its coefficient's logarithm would overflow.
+        return ConvergenceReport(ga2, n_terms, 0.0, method)
+    log_coefs = log_hypergeometric(math.lgamma(2.0 * a) - math.log(abs(a)),
+                                   ((2.0 * a - 1.0, 1, 1.0), (1.0, a, -1.0)),
+                                   0, n_terms)
     # 2 (-1)^(k+1) sign(c_k); 2a+k < 0 for k <= -2a, Gamma(2a+k) < 0 at odd floors
     twos = [-2.0, 2.0] * (n_terms // 2 + 1)
     for k in range(min(n_terms, math.floor(-2.0 * a) + 1)):
@@ -149,9 +153,6 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
             twos[k] = -twos[k]
     terms = [two * math.exp(log_coef) * zz / den
              for two, log_coef, den in zip(twos, log_coefs, dens)]
-    if z2 == 0:
-        # CVZ would reject the all-zero terms as not alternating.
-        return ConvergenceReport(ga2, n_terms, 0.0, method)
     k = 0
     if z2.imag == 0:
         while k < n_terms - 1 and (2.0 * a + k <= 0 or (a + k) ** 2 <= z2.real):

@@ -8,34 +8,10 @@ cross-checks against it are not circular.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-from .accel import _method
 from .errors import DomainError
 from .special import _BERNOULLI
 
-__all__ = ["PrecisionConfig", "zeta_oracle", "tail_power_sum"]
-
-
-class PrecisionConfig(namedtuple("PrecisionConfig",
-                                 "max_terms target_abs_error method trace_enabled")):
-    """Truncation and acceleration settings for series evaluations.
-
-    Only `max_terms` and `method` are read.  `target_abs_error` and
-    `trace_enabled` stay because the benchmark's `perfbench/worker.py`
-    passes them by keyword.  `method` is one of "none", "euler", "cvz".
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, max_terms: int = 64, target_abs_error: float = 1e-12,
-                method: str = "cvz", trace_enabled: bool = True):
-        if max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-        if target_abs_error <= 0:
-            raise DomainError("target_abs_error must be > 0")
-        _method(method)
-        return tuple.__new__(cls, (max_terms, target_abs_error, method, trace_enabled))
+__all__ = ["zeta_oracle", "tail_power_sum"]
 
 
 def _add_bernoulli_corrections(total: float, s: int, n: int) -> float:

@@ -123,6 +123,8 @@ def trigamma(x: float) -> float:
     """psi'(x) = sum_{k>=0} 1/(x+k)^2 for real x > 0."""
     if not 0 < x < math.inf:
         raise DomainError(f"trigamma needs finite x > 0, got {x}")
+    if x * x == 0.0 or 1.0 / (x * x) == math.inf:  # psi'(x) > 1/x^2, the rest < 2
+        raise OverflowError(f"trigamma({x!r}): psi'(x) exceeds double range")
     acc = 0.0
     while x < 10.0:
         acc += 1.0 / (x * x)

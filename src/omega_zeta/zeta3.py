@@ -18,9 +18,8 @@ import math
 from enum import Enum
 from functools import lru_cache
 
-from .accel import ConvergenceReport, _first_terms, sum_alternating
+from .accel import ConvergenceReport, PrecisionConfig, _first_terms, sum_alternating
 from .errors import DomainError
-from .oracle import PrecisionConfig
 from .special import log_cosh, log_sin, log_sinh
 
 __all__ = [

@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .accel import ConvergenceReport, _first_terms, sum_alternating
+from .accel import ConvergenceReport, PrecisionConfig, _first_terms, sum_alternating
 from .errors import DomainError
-from .oracle import PrecisionConfig
 from .unity_product import coefficient_log_parts, product_coefficient
 
 __all__ = ["zeta_term", "zeta_via_series"]
@@ -43,8 +42,6 @@ def zeta_term(m: int, n: int) -> float:
 
 def zeta_via_series(m: int, config: PrecisionConfig | None = None) -> ConvergenceReport:
     """Evaluate the series for zeta(m) under the given precision config."""
-    if m < 2:
-        raise DomainError(f"need m >= 2, got {m}")
     config = config or PrecisionConfig()
     return sum_alternating(_first_terms(zeta_term, config.max_terms, m),
                            config.method)

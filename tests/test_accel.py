@@ -20,7 +20,6 @@ from omega_zeta.accel import (
     _binomial_weights,
     _cvz,
     _cvz_weights,
-    _tail_weights,
     euler_average,
     log_hypergeometric,
 )
@@ -225,7 +224,7 @@ def test_euler_rounding_bound_holds_exactly(kind, n):
         value, est = euler_average(terms)
         last, rounding, total = _binomial_mean(sums)
         # the step last - prev by Pascal's rule, over the N - 2 weights
-        lo, weights, mass = _binomial_weights(n - 2)
+        lo, weights, _, mass = _binomial_weights(n - 2)
         steps = [w * t for w, t in zip(weights, terms[lo + 1:])]
         allowance = 2.0 ** -53 * (3.0 * abs(last) + 2.0 * sum(map(abs, steps)))
         assert (value, est) == (last, abs(sum(steps)) / 2.0 + allowance
@@ -242,7 +241,7 @@ def test_binomial_weights_cache_returns_the_same_tuple_bits():
     grid = (0, 1, 2, 17, 256, 1100)
 
     def bits(n):
-        lo, weights, mass = _binomial_weights(n)
+        lo, weights, _, mass = _binomial_weights(n)
         return lo, [w.hex() for w in weights], mass.hex()
 
     before = [bits(n) for n in grid]
@@ -324,10 +323,9 @@ def test_euler_step_is_half_the_next_weighted_term_sum(n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 17, 256, 1023, 4095])
 def test_tail_weights_are_the_suffix_sums_of_the_window(n):
-    _, weights, _ = _binomial_weights(n)
-    tails = _tail_weights(n)
+    _, weights, tails, _ = _binomial_weights(n)
     assert type(tails) is tuple and len(tails) == len(weights)
-    assert _tail_weights(n) is tails
+    assert _binomial_weights(n)[2] is tails
     exact = list(accumulate(map(Fraction, reversed(weights))))[::-1]
     for k, (tail, ref) in enumerate(zip(tails, exact)):
         # a suffix of len(weights) - k roundings, each within u of its sum
@@ -336,7 +334,7 @@ def test_tail_weights_are_the_suffix_sums_of_the_window(n):
 
 def test_euler_window_holds_order_sqrt_n_weights():
     n = 4095
-    lo, weights, mass = _binomial_weights(n)
+    lo, weights, _, mass = _binomial_weights(n)
     assert len(weights) == n + 1 - 2 * lo <= 12 * math.sqrt(n + 1)
     # the window is the weights >= u^2; those left out weigh a few u^2
     assert min(weights) >= 2.0 ** -106 > math.comb(n, lo - 1) / 2 ** n

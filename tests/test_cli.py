@@ -236,6 +236,21 @@ def test_gamma_pfd_cvz_with_z_beyond_a():
     assert abs(rec["value_re"] - ref) <= 1e-12 * abs(ref)
 
 
+def test_converge_rejects_m_below_two_before_any_line():
+    proc = run_cli("converge", "--m", "1")
+    assert proc.returncode == 3
+    assert "need m >= 2 and n >= 1, got m=1, n=1" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_gamma_pfd_at_z_zero_past_the_coefficient_range():
+    proc = run_cli("gamma-pfd", "--a", "85", "--z=0,0")
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = json_records(proc)
+    assert rec["value_re"] == rec["reference_re"] == pytest.approx(1.0984e253, rel=1e-4)
+    assert rec["abs_error_estimate"] == 0.0
+
+
 @pytest.mark.parametrize("count", ["0", "-4"])
 def test_converge_rejects_non_positive_max_terms(count):
     proc = run_cli("converge", "--m", "3", "--max-terms", count)

@@ -9,10 +9,12 @@ from omega_zeta import (
     DivergenceError,
     DomainError,
     PoleError,
+    exp_log,
     gamma,
     gamma_pair,
     gamma_pfd_series,
     inverse_square_series,
+    log_gamma,
     modulus_product,
     trigamma,
 )
@@ -114,6 +116,17 @@ def test_series_z_zero_under_every_method(method):
         assert rep.value == gamma(a).real ** 2
         assert rep.error_estimate == 0.0
         assert rep.method is method
+
+
+@pytest.mark.parametrize("method", list(AccelerationMethod))
+def test_series_z_zero_builds_no_term(method):
+    # Gamma(85)^2 = 1.1e253 is a double, though exp of log|c_k| overflows for
+    # a >= 81.5: at z = 0 the series is Gamma(a)^2 before any term is built.
+    rep = gamma_pfd_series(85.0, 0.0, 16, method)
+    assert rep.value.hex() == exp_log(2.0 * log_gamma(85.0)).real.hex()
+    assert rep.error_estimate == 0.0
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        gamma_pfd_series(150.0, 0.0, 16, method)  # Gamma(150)^2 is past it
 
 
 @pytest.mark.parametrize("a,z", [(math.nan, 0.3), (math.inf, 0.3),

@@ -1,9 +1,11 @@
+import ast
 import math
 import pickle
 
 import mpmath as mp
 import pytest
 
+import omega_zeta.oracle as oracle_module
 from omega_zeta import DomainError, PrecisionConfig, tail_power_sum, zeta_oracle
 
 mp.mp.dps = 40
@@ -87,7 +89,22 @@ def test_precision_config_is_an_immutable_tuple():
     ({"target_abs_error": -1e-9}, "target_abs_error must be > 0"),
     ({"method": "bogus"}, "unknown method 'bogus'"),
     ({"method": ["x"]}, r"unknown method \['x'\]"),
+    ({"max_terms": 1.5}, "max_terms must be an integer, got 1.5"),
+    ({"max_terms": 64.0}, "max_terms must be an integer, got 64.0"),
 ])
 def test_precision_config_rejects_bad_settings(kwargs, message):
     with pytest.raises(DomainError, match=message):
         PrecisionConfig(**kwargs)
+
+
+def test_oracle_imports_nothing_it_checks():
+    # The oracle is independent of the engine: of the package it reads only
+    # the error types and the Bernoulli table.
+    with open(oracle_module.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    package = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level}
+    assert package == {"errors", "special"}
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                and any(alias.name.startswith("omega_zeta") for alias in node.names)]

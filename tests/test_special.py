@@ -105,6 +105,15 @@ def test_trigamma_values():
         trigamma(-1.0)
 
 
+def test_trigamma_past_double_range_overflows_readably():
+    # psi'(x) > 1/x^2: 1/(x x) rounds to inf at 1e-155 and 1e-160, and x x
+    # underflows to 0 at 1e-170 and 1e-320.
+    assert trigamma(1e-154) == 1e308
+    for x in (1e-155, 1e-160, 1e-170, 1e-320):
+        with pytest.raises(OverflowError, match="exceeds double range$"):
+            trigamma(x)
+
+
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0, 10.0])
 def test_trigamma_recurrence(x):
     assert abs(trigamma(x) - trigamma(x + 1) - 1 / x ** 2) < 1e-12 / x ** 2
