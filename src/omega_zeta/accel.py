@@ -128,7 +128,7 @@ def log_hypergeometric(start: float, factors, first: int, count: int) -> list[fl
     return logs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # a head of 3.0 reaches `term`, also once 3 is cached
 def _first_terms(term, count, *head):
     """(term(*head, 1), ..., term(*head, count)) as one tuple, built once per
     key from the memoized per-index `term`: a warm series costs one lookup."""
@@ -290,9 +290,9 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
     summation refuses terms that grow (DivergenceError), since only an
     accelerated method regularizes such a series.  ChebyshevAlternating
     requires strictly alternating signs; Euler accepts any sign pattern.
-    A complex series is summed as two real series, of its real and of its
-    imaginary parts, with value complex(re, im) and estimate
-    hypot(re_est, im_est); one with no imaginary part is summed as real.
+    A series whose first term or sum is complex is summed as two real
+    series, its real and imaginary parts, with value complex(re, im) and
+    estimate hypot(re_est, im_est); one with no imaginary part sums as real.
     A term that is not finite raises DomainError, and a value or estimate
     that leaves the double range raises OverflowError; the terms are only
     looked at once the sum has failed.  A list or tuple of floats is not copied.
@@ -300,27 +300,22 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
     method = _method(method)
     if type(terms) is not list and type(terms) is not tuple:
         terms = list(terms)
-    kind = type(sum(terms))  # complex exactly when some term is
-    if kind is complex:
-        return _sum_parts([t.real for t in terms], [t.imag for t in terms], method)
-    return _sum_parts(terms if kind is float else list(map(float, terms)), (), method)
-
-
-def _sum_parts(real, imag, method):
-    """sum_alternating of the series with parts `real` and `imag` (() if real)."""
-    n = len(real)
+    n = len(terms)
     if not n:
         raise DomainError("empty term list")
+    kind = complex if type(terms[0]) is complex else type(sum(terms))
+    if kind is not complex and kind is not float:
+        terms = list(map(float, terms))
+    imag = [t.imag for t in terms] if kind is complex else ()
     failure = None
     try:
         if method is AccelerationMethod.NO_ACCELERATION:
-            end, mid = (complex(real[i], imag[i]) if imag else real[i] for i in (-1, n // 2))
-            last = abs(end)  # not math.hypot, which can round apart; inf is no growth
-            if n >= 8 and math.inf > last > 1.2 * abs(mid):
+            last = abs(terms[-1])  # inf is no growth
+            if n >= 8 and math.inf > last > 1.2 * abs(terms[n // 2]):
                 raise DivergenceError(
                     f"series terms grow (|term {n}| = {last:.3g} > 1.2 |term "
                     f"{n // 2 + 1}|); use an accelerated method")
-        value, est = _sum_real(real, method)
+        value, est = _sum_real([t.real for t in terms] if imag else terms, method)
         if any(imag):
             im, im_est = _sum_real(imag, method)
             value, est = complex(value, im), math.hypot(est, im_est)
@@ -330,7 +325,7 @@ def _sum_parts(real, imag, method):
         pass                             # inf - inf, abs of a huge complex
     except SignPatternError as exc:  # a nan has no sign for CVZ to alternate
         failure = exc
-    for k, t in enumerate(map(complex, real, imag) if imag else real, 1):
+    for k, t in enumerate(terms, 1):
         if not cmath.isfinite(t):
             raise DomainError(f"term {k} is {t}: terms must be finite")
     raise failure or OverflowError(f"sum_alternating: the {method.value} sum of {n} "

@@ -18,7 +18,8 @@ import math
 import operator
 from itertools import cycle
 
-from .accel import AccelerationMethod, ConvergenceReport, _method, _sum_parts, log_hypergeometric
+from .accel import (AccelerationMethod, ConvergenceReport, _method, log_hypergeometric,
+                    sum_alternating)
 from .errors import DomainError, PoleError
 from .special import exp_log, log_gamma, trigamma
 
@@ -39,14 +40,14 @@ def gamma_pair(a: complex, z: complex) -> complex:
     return exp_log(log_gamma(a + z) + log_gamma(a - z))
 
 
-def _sum_own_terms(real, imag, method):
-    """sum_alternating of terms built here from finite inputs, as parts, where
-    a term that is not finite can only be an overflow (a product past the
-    double range, or inf times 0 in complex arithmetic): OverflowError."""
+def _sum_own_terms(terms, method):
+    """sum_alternating of terms built here from finite inputs, where a term
+    that is not finite can only be an overflow (a product past the double
+    range, or inf times 0 in complex arithmetic): OverflowError."""
     try:
-        return _sum_parts(real, imag, method)
+        return sum_alternating(terms, method)
     except DomainError:
-        if all(map(math.isfinite, real)) and all(map(math.isfinite, imag)):
+        if all(map(cmath.isfinite, terms)):
             raise
     raise OverflowError("a term exceeds double range")
 
@@ -80,6 +81,8 @@ def modulus_product(a: float, z: complex, n_factors: int) -> complex:
     z = complex(z)
     if not (math.isfinite(a) and cmath.isfinite(z)):
         raise DomainError(f"need finite a and z, got a = {a}, z = {z}")
+    if a + n_factors <= 0:  # the tail needs psi'(a + N)
+        raise DomainError(f"need a + n_factors > 0, got a = {a}, n_factors = {n_factors}")
     z2 = z * z
     log_prod = 0j
     for k in range(1, n_factors + 1):
@@ -110,7 +113,7 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     formula, which complex division can lose.  They alternate strictly
     from the first k with 2a+k > 0 and (a+k)^2 > z^2 on (for real z with
     |z| > a the earlier terms have the flipped sign).  The terms before
-    that k are added with fsum and only the rest goes to `_sum_parts`,
+    that k are added with fsum and only the rest goes to `sum_alternating`,
     so CVZ sees an alternating series and the value is a float exactly
     when z^2 is real.
 
@@ -158,8 +161,7 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
         while k < n_terms - 1 and (2.0 * a + k <= 0 or (a + k) ** 2 <= z2.real):
             k += 1
     head = math.fsum(terms[:k])
-    parts = ([t.real for t in terms], [t.imag for t in terms]) if z2.imag else (terms[k:], ())
-    rep = _sum_own_terms(*parts, method)
+    rep = _sum_own_terms(terms[k:], method)
     return ConvergenceReport(ga2 + head + rep.value, n_terms, rep.error_estimate, method)
 
 
@@ -187,4 +189,4 @@ def inverse_square_series(q: float, n_terms: int,
     log_mags = log_hypergeometric(log_t1, ((2.0 * q + 1.0, 0, 1.0), (1.0, q, -3.0)),
                                   1, n_terms)
     terms = list(map(operator.mul, cycle((2.0, -2.0)), map(math.exp, log_mags)))
-    return _sum_own_terms(terms, (), method)
+    return _sum_own_terms(terms, method)

@@ -29,9 +29,6 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _LOG_SQRT_TWO_PI = 0.5 * math.log(_TWO_PI)
 
-# Largest log-magnitude exp() can turn into a finite double.
-_EXP_OVERFLOW = 709.0
-
 # Lanczos approximation, g = 7, 9 coefficients (standard double-precision set).
 _LANCZOS_G = 7.0
 _LANCZOS_COEF = (
@@ -51,9 +48,10 @@ _POLE_TOL = 1e-12
 
 def exp_log(lg: complex) -> complex:
     """exp(lg) for a complex logarithm; OverflowError when too large."""
-    if lg.real > _EXP_OVERFLOW:
-        raise OverflowError(f"log-magnitude {lg.real:.3g} exceeds double range")
-    r = math.exp(lg.real)
+    try:
+        r = math.exp(min(lg.real, 710.0))  # exp(inf) is inf; past 709.78 exp raises
+    except OverflowError:
+        raise OverflowError(f"log-magnitude {lg.real!r} exceeds double range") from None
     return complex(r * math.cos(lg.imag), r * math.sin(lg.imag))
 
 

@@ -17,14 +17,16 @@ from .unity_product import coefficient_log_parts, product_coefficient
 __all__ = ["zeta_term", "zeta_via_series"]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def zeta_term(m: int, n: int) -> float:
     """The n-th summand of the zeta(m) series, m(-1)^(n-1)|lambda_n|/n^m.
 
     The magnitude is formed in log space and exponentiated once, so a
     term below the double range underflows to 0.0 with its sign kept.
-    Memoized on (m, n); `zeta_term.cache_clear()` empties the cache.
+    Memoized on (m, n) and their types; `zeta_term.cache_clear()` empties it.
     """
+    if not (hasattr(m, "__index__") and hasattr(n, "__index__")):
+        raise DomainError(f"need integers m and n, got m={m!r}, n={n!r}")
     if m < 2 or n < 1:
         raise DomainError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
     if m == 2:

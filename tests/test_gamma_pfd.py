@@ -1,8 +1,10 @@
 import math
+import sys
 
 import mpmath as mp
 import pytest
 
+import omega_zeta.accel as accel
 import omega_zeta.gamma_pfd as gamma_pfd_module
 from omega_zeta import (
     AccelerationMethod,
@@ -18,7 +20,7 @@ from omega_zeta import (
     modulus_product,
     trigamma,
 )
-from omega_zeta.accel import _sum_parts, log_hypergeometric
+from omega_zeta.accel import log_hypergeometric, sum_alternating
 
 CVZ = AccelerationMethod.CHEBYSHEV_ALTERNATING
 EULER = AccelerationMethod.EULER_TRANSFORM
@@ -80,6 +82,8 @@ def test_modulus_product_rejects_non_finite_input(a, z):
     (gamma_pfd_series, (1.5, 0.3, 0, EULER), DomainError, "n_terms"),
     (inverse_square_series, (-1.0, 16, EULER), DomainError, "q > -1"),
     (inverse_square_series, (0.5, 0, EULER), DomainError, "n_terms"),
+    # the tail psi'(a + N) needs a + N > 0
+    (modulus_product, (-1.0, 0.5, 1), DomainError, "n_factors > 0, got a = -1.0, n_factors = 1"),
 ])
 def test_bad_input_raises_its_typed_error(fn, args, error, match):
     with pytest.raises(error, match=match):
@@ -93,6 +97,32 @@ def test_cvz_term_limit_passes_through_the_range_guard(series, args):
     # The terms are finite, so the DomainError is CVZ's own, not an overflow.
     with pytest.raises(DomainError, match="at most 402 terms"):
         series(*args, 403, CVZ)
+
+
+@pytest.mark.parametrize("method", list(AccelerationMethod))
+def test_every_series_enters_the_engine_once(monkeypatch, method):
+    # Wrapped wherever a package module binds it, as perfbench's tracer does,
+    # sum_alternating sees each series' whole sum: at a = -0.3, z = 0.41 the
+    # first term is added apart and 63 of the 64 reach it.
+    calls = []
+    original = accel.sum_alternating
+
+    def counting(terms, method):
+        calls.append(len(terms))
+        return original(terms, method)
+
+    for name, module in list(sys.modules.items()):
+        if name == "omega_zeta" or name.startswith("omega_zeta."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    for series, args, count in [(gamma_pfd_series, (0.7, 0.3), 64),
+                                (gamma_pfd_series, (0.7, 0.2 + 0.1j), 64),
+                                (gamma_pfd_series, (-0.3, 0.41), 63),
+                                (inverse_square_series, (0.5,), 64)]:
+        calls.clear()
+        series(*args, 64, method)
+        assert calls == [count], (series.__name__, args)
 
 
 def test_series_raw_convergent_regime():
@@ -273,8 +303,7 @@ def _per_term(a, z, n_terms):
 @pytest.fixture
 def built_terms(monkeypatch):
     """Every term gamma_pfd_series builds, in order: the head it adds with
-    fsum, then the rest, whose real and imaginary parts it passes to the
-    summation engine."""
+    fsum, then the rest, which it passes to the summation engine."""
     seen = []
 
     class Math:
@@ -287,12 +316,12 @@ def built_terms(monkeypatch):
             seen.extend(values)
             return math.fsum(values)
 
-    def capture(real, imag, method):
-        seen.extend(map(complex, real, imag) if imag else real)
-        return _sum_parts(real, imag, method)
+    def capture(terms, method):
+        seen.extend(terms)
+        return sum_alternating(terms, method)
 
     monkeypatch.setattr(gamma_pfd_module, "math", Math())
-    monkeypatch.setattr(gamma_pfd_module, "_sum_parts", capture)
+    monkeypatch.setattr(gamma_pfd_module, "sum_alternating", capture)
     return seen
 
 

@@ -206,6 +206,16 @@ def test_log_sin_real_part_across_branch_switch(z):
     assert abs(log_sin(z).real - ref) <= 1e-13 * abs(ref)
 
 
+def test_exp_log_takes_every_double():
+    # Gamma(171.6) = 1.59e308 has log-magnitude 709.66, below log(DBL_MAX) =
+    # 709.78; exp itself decides, and inf stays an overflow.
+    assert _rel(gamma(171.6).real, math.gamma(171.6)) <= 1e-14
+    assert math.isfinite(exp_log(709.78).real)
+    for lg in (709.79, math.inf):
+        with pytest.raises(OverflowError, match=f"log-magnitude {lg!r} exceeds double range$"):
+            exp_log(lg)
+
+
 def test_gamma_overflow_message():
     with pytest.raises(OverflowError, match="exceeds double range"):
         gamma(200.0)

@@ -2,7 +2,7 @@
 
 `gamma_pfd_series` and `inverse_square_series` carry each term's
 log-magnitude as a running sum of log-ratio steps.  The terms are captured
-where their real and imaginary parts enter the summation engine and compared
+where they enter the summation engine and compared
 one by one with 40-digit mpmath values formed from gamma functions directly.
 """
 
@@ -13,7 +13,7 @@ import pytest
 
 import omega_zeta.gamma_pfd as gamma_pfd_module
 from omega_zeta import gamma_pfd_series, inverse_square_series
-from omega_zeta.accel import _sum_parts
+from omega_zeta.accel import sum_alternating
 
 TERM_REL_TOL = 1e-13
 
@@ -53,14 +53,14 @@ def _inverse_square_grid():
 
 @pytest.fixture
 def captured(monkeypatch):
-    """Lists of terms that `gamma_pfd` passes to `_sum_parts` as their parts."""
+    """Lists of terms that `gamma_pfd` passes to `sum_alternating`."""
     seen = []
 
-    def capture(real, imag, method):
-        seen.append(list(map(complex, real, imag)) if imag else list(real))
-        return _sum_parts(real, imag, method)
+    def capture(terms, method):
+        seen.append(list(terms))
+        return sum_alternating(terms, method)
 
-    monkeypatch.setattr(gamma_pfd_module, "_sum_parts", capture)
+    monkeypatch.setattr(gamma_pfd_module, "sum_alternating", capture)
     return seen
 
 

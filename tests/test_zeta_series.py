@@ -96,6 +96,18 @@ def test_domain_errors():
         zeta_term(3, 0)
 
 
+def test_non_integer_m_or_n_is_a_domain_error_cold_and_warm():
+    # The caches are typed: once zeta(3) has run, 3.0 still reaches the check.
+    zeta_term.cache_clear()
+    _first_terms.cache_clear()
+    for _ in range(2):
+        for call in (lambda: zeta_via_series(3.0), lambda: zeta_via_series(2.5),
+                     lambda: zeta_term(2.5, 1), lambda: zeta_term(3, 1.0)):
+            with pytest.raises(DomainError, match="need integers m and n"):
+                call()
+        zeta_via_series(3)  # caches the terms and the tuple of m = 3
+
+
 def test_term_cache_returns_the_same_bits():
     grid = [(m, n) for m in (2, 3, 7, 40) for n in (1, 2, 9, 64)]
     before = [zeta_term(m, n).hex() for m, n in grid]
