@@ -8,9 +8,9 @@ For each workload and call kind (the library function, or the ``cli``
 subcommand) the script prints one row of a Markdown table: how many calls
 both dumps hold, and how many of them had
 
-* the value moved: its real or imaginary bits, or for ``cli`` any
-  ``value_re``/``value_im`` of its JSON records or any output line that is not
-  such a record;
+* the value moved: its real or imaginary bits, the message of the exception
+  a library call raised, or for ``cli`` any ``value_re``/``value_im`` of its
+  JSON records or any output line that is not such a record;
 * the estimate grow, or shrink (``abs_error_estimate`` for ``cli``), with the
   largest relative growth;
 * the error type change: the exception a library call raised, or the exit
@@ -38,7 +38,8 @@ def parse_line(line: str):
     outcome is (error, values, estimates, other): error is the exception name
     or cli exit code (None when the call returned), values the value bits,
     estimates the error estimates as floats (None where there is none), and
-    other the cli output lines that are not JSON records."""
+    other the exception's message, or the cli output lines that are not JSON
+    records."""
     head = line.split(" ", 4)
     if len(head) < 5 or not all(part.isdigit() for part in head[1:4]):
         return None
@@ -54,7 +55,7 @@ def parse_line(line: str):
         return key, "cli " + str(call[1]), _cli_outcome(result)
     kind = str(call[0])
     if result.startswith("raised "):
-        return key, kind, (result.split()[1], (), (), ())
+        return key, kind, (result.split()[1], (), (), tuple(result.split(" ", 2)[2:]))
     re, im, est = result.split()
     return key, kind, (None, (re, im), (None if est == "-" else float.fromhex(est),), ())
 

@@ -10,8 +10,9 @@ as the benchmark.  Per workload and seed it makes the warm-up calls, then
 blocks 0 .. BLOCKS-1 (or the defect calls with ``--defects``), all in this one
 process.  Each call prints one line: workload, seed, block, index, the call,
 and either the value's real and imaginary parts and the estimate in float hex
-or the type of the exception raised.  A ``cli`` call runs ``omega_zeta.cli.main``
-in-process and prints its exit code and output, with ``elapsed_ms`` removed.
+or ``raised``, the type of the exception raised and its message as a JSON
+string.  A ``cli`` call runs ``omega_zeta.cli.main`` in-process and prints its
+exit code and output, with ``elapsed_ms`` removed.
 
 Run it on two trees and diff the dumps to list every value or estimate that
 moved; cached values carry the same bits as fresh ones, so the order of calls
@@ -58,7 +59,7 @@ def describe(oz, run, call) -> str:
     try:
         value, estimate = run(call)
     except Exception as exc:  # a raised call is an outcome like any other
-        return "raised " + type(exc).__name__
+        return f"raised {type(exc).__name__} {json.dumps(str(exc))}"
     value = complex(value)
     est = "-" if estimate is None else float(estimate).hex()
     return f"{value.real.hex()} {value.imag.hex()} {est}"

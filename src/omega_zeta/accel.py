@@ -25,7 +25,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
 
-from .errors import DivergenceError, DomainError, SignPatternError
+from .errors import DivergenceError, DomainError, SignPatternError, _check_index
 
 __all__ = [
     "AccelerationMethod",
@@ -79,10 +79,7 @@ class PrecisionConfig(namedtuple("PrecisionConfig",
 
     def __new__(cls, max_terms: int = 64, target_abs_error: float = 1e-12,
                 method: str = "cvz", trace_enabled: bool = True):
-        if not hasattr(max_terms, "__index__"):  # what range() takes: not 64.0
-            raise DomainError(f"max_terms must be an integer, got {max_terms!r}")
-        if max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
+        _check_index("max_terms", max_terms, 1)
         if target_abs_error <= 0:
             raise DomainError("target_abs_error must be > 0")
         _method(method)

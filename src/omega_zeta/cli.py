@@ -250,12 +250,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(
             _attach_signed_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
     except (OmegaZetaError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_DIVERGENCE if isinstance(exc, DivergenceError) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

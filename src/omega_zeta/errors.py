@@ -23,3 +23,12 @@ class SignPatternError(OmegaZetaError):
 
 class DivergenceError(OmegaZetaError):
     """Unaccelerated summation requested for a series whose terms grow."""
+
+
+def _check_index(name, value, least):
+    """DomainError unless `value` is an integer (has __index__, as range()
+    needs: not 64.0) and at least `least`."""
+    if not hasattr(value, "__index__"):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")

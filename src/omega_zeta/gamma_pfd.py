@@ -20,7 +20,7 @@ from itertools import cycle
 
 from .accel import (AccelerationMethod, ConvergenceReport, _method, log_hypergeometric,
                     sum_alternating)
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, _check_index
 from .special import exp_log, log_gamma, trigamma
 
 __all__ = [
@@ -75,8 +75,7 @@ def _within_double_range(series):
 def modulus_product(a: float, z: complex, n_factors: int) -> complex:
     """Truncated product for Gamma(a+z)Gamma(a-z)/Gamma(a)^2 with a
     first-order tail correction exp(z^2 * psi'(a + N))."""
-    if n_factors < 1:
-        raise DomainError("need n_factors >= 1")
+    _check_index("n_factors", n_factors, 1)
     a = float(a)
     z = complex(z)
     if not (math.isfinite(a) and cmath.isfinite(z)):
@@ -132,8 +131,7 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     if a < 0 and 2.0 * a == round(2.0 * a):
         raise DomainError(f"need 2a not a non-positive integer (Gamma(2a+k) "
                           f"has a pole), got a = {a}")
-    if n_terms < 1:
-        raise DomainError("need n_terms >= 1")
+    _check_index("n_terms", n_terms, 1)
     z2 = z * z
     zz = z2.real if z2.imag == 0 else z2
     ga2 = exp_log(2.0 * log_gamma(a)).real
@@ -180,8 +178,7 @@ def inverse_square_series(q: float, n_terms: int,
         raise DomainError(f"need finite q, got q = {q}")
     if q <= -1:
         raise DomainError(f"need q > -1, got {q}")
-    if n_terms < 1:
-        raise DomainError("need n_terms >= 1")
+    _check_index("n_terms", n_terms, 1)
     # With 16 terms the CVZ sum leaves the double range from q near 454,
     # a term from 469, and lgamma itself from 1e305.
     log_t1 = (math.lgamma(2.0 * q + 2.0) - 2.0 * math.lgamma(q + 1.0)

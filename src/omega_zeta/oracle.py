@@ -8,7 +8,7 @@ cross-checks against it are not circular.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, _check_index
 from .special import _BERNOULLI
 
 __all__ = ["zeta_oracle", "tail_power_sum"]
@@ -52,9 +52,9 @@ def tail_power_sum(p: int, cutoff: int) -> float:
     for small cutoffs the leading terms are summed explicitly before the
     corrections are applied at 20.
     """
-    if p < 2 or cutoff < 0:
-        raise DomainError(f"tail_power_sum needs p >= 2 and cutoff >= 0, "
-                          f"got p = {p}, cutoff = {cutoff}")
+    if p < 2:
+        raise DomainError(f"tail_power_sum needs p >= 2, got p = {p}")
+    _check_index("cutoff", cutoff, 0)
     n = max(cutoff, 20)
     total = sum(k ** (-float(p)) for k in range(cutoff + 1, n + 1))
     total += n ** (1.0 - p) / (p - 1.0) - 0.5 * n ** (-float(p))

@@ -26,20 +26,15 @@ def pfd_coefficients(a) -> PfdResult:
     n = len(nodes)
     if n < 1:
         raise DomainError("need at least one node")
-    if n == 1:
-        return PfdResult(nodes, (1.0 + 0j,))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(nodes[j] - nodes[i]) <= _SEPARATION_TOL:
-                raise DegenerateNodesError(
-                    f"nodes {i} and {j} coincide within {_SEPARATION_TOL}"
-                )
     coefficients = []
     for i in range(n):
         mu = 1.0 + 0j
         for j in range(n):
             if j != i:
-                mu /= nodes[j] - nodes[i]
+                if abs(diff := nodes[j] - nodes[i]) <= _SEPARATION_TOL:
+                    raise DegenerateNodesError(
+                        f"nodes {i} and {j} coincide within {_SEPARATION_TOL}")
+                mu /= diff
         coefficients.append(mu)
     return PfdResult(nodes, tuple(coefficients))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, _check_index
 
 __all__ = [
     "exp_log",
@@ -47,18 +47,20 @@ _POLE_TOL = 1e-12
 
 
 def exp_log(lg: complex) -> complex:
-    """exp(lg) for a complex logarithm; OverflowError when too large."""
+    """exp(lg) for a complex logarithm; OverflowError when too large, then
+    DomainError for a nan real part or an infinite or nan imaginary part."""
     try:
         r = math.exp(min(lg.real, 710.0))  # exp(inf) is inf; past 709.78 exp raises
     except OverflowError:
         raise OverflowError(f"log-magnitude {lg.real!r} exceeds double range") from None
+    if math.isnan(lg.real) or not math.isfinite(lg.imag):
+        raise DomainError(f"exp_log needs Re lg not nan and Im lg finite, got {lg}")
     return complex(r * math.cos(lg.imag), r * math.sin(lg.imag))
 
 
 def roots_of_unity(m: int) -> tuple:
     """All m-th roots of unity, as a tuple with [j] = exp(2*pi*i*j/m)."""
-    if m < 2:
-        raise DomainError(f"need m >= 2, got {m}")
+    _check_index("m", m, 2)
     roots = []
     for j in range(m):
         # Snap the axis-aligned roots to exact values.

@@ -21,7 +21,7 @@ import cmath
 import math
 
 from .accel import AccelerationMethod, ConvergenceReport
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, _check_index
 from .oracle import tail_power_sum, zeta_oracle
 from .special import exp_log, log_gamma, roots_of_unity
 
@@ -109,8 +109,7 @@ def _log_truncated_product(m: int, x: complex, n_factors: int,
 
 def unity_gamma_product(m: int, z: complex, route) -> complex:
     """Evaluate the product by the requested route."""
-    if m < 2:
-        raise DomainError(f"need m >= 2, got {m}")
+    _check_index("m", m, 2)
     z = complex(z)
     if z == 0:
         return 1.0 + 0j
@@ -166,16 +165,16 @@ def coefficient_log_parts(m: int, n: int) -> float:
 
 def series_coefficient(m: int, n: int) -> float:
     """lambda_n, the product's coefficient at its pole z = n (closed form)."""
-    if m < 2 or n < 1:
-        raise DomainError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
+    _check_index("m", m, 2)
+    _check_index("n", n, 1)
     return (-1 if n % 2 else 1) * math.exp(coefficient_log_parts(m, n))
 
 
 def product_coefficient(m: int, n: int) -> float:
     """lambda_n from the truncated product over s = 1..8n, s != n, with its
     full tail; an independent check on `series_coefficient`."""
-    if m < 2 or n < 1:
-        raise DomainError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
+    _check_index("m", m, 2)
+    _check_index("n", n, 1)
     # lambda_n = -(1/m) prod_{s != n} 1/(1 - (n/s)^m), whose n - 1 factors
     # with s < n are negative: the sign is (-1)^n.
     sign = -1 if n % 2 else 1
@@ -190,8 +189,8 @@ def unity_product_pfd(m: int, z: complex, n_terms: int) -> ConvergenceReport:
     with `error_estimate` the conservative tail bound
     m|z|^m sum_{n>N} 1/(n^m - |z|^m), which holds for |z| < N + 1 only.
     """
-    if m < 2 or n_terms < 1:
-        raise DomainError(f"need m >= 2 and n_terms >= 1, got m={m}, n_terms={n_terms}")
+    _check_index("m", m, 2)
+    _check_index("n_terms", n_terms, 1)
     z = complex(z)
     if abs(z) >= n_terms + 1:
         raise DomainError(f"a series of {n_terms} terms needs "

@@ -19,7 +19,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .accel import ConvergenceReport, PrecisionConfig, _first_terms, sum_alternating
-from .errors import DomainError
+from .errors import DomainError, _check_index
 from .special import log_cosh, log_sin, log_sinh
 
 __all__ = [
@@ -48,16 +48,14 @@ class Zeta3Variant(Enum):
 
 def p_poly(d: int) -> float:
     """log P(d), P(d) = prod_{k=1}^{d} ((k - 1/2)^2 + (3/4)(2d - 1)^2)."""
-    if d < 1:
-        raise DomainError("need d >= 1")
+    _check_index("d", d, 1)
     c = 0.75 * (2 * d - 1) ** 2
     return sum(math.log((k - 0.5) ** 2 + c) for k in range(1, d + 1))
 
 
 def q_poly(d: int) -> float:
     """log Q(d), Q(d) = prod_{k=1}^{d} (k^2 + 3 d^2)."""
-    if d < 1:
-        raise DomainError("need d >= 1")
+    _check_index("d", d, 1)
     c = 3.0 * d * d
     return sum(math.log(k * k + c) for k in range(1, d + 1))
 
@@ -70,8 +68,7 @@ def sine_term(n: int) -> float:
     with w = exp(2 pi i / 3), and the gamma pair is a conjugate pair, so its
     sign is (-1)^(n-1) and only log-magnitudes are accumulated.
     """
-    if n < 1:
-        raise DomainError("need n >= 1")
+    _check_index("n", n, 1)
     w = _OMEGA3_SQ * n
     log_mag = math.log(3.0 * math.pi)
     for k in range(1, n + 1):
@@ -88,8 +85,7 @@ def hyperbolic_term(n: int) -> float:
     Odd n = 2d-1 gives the (positive) P(d)/cosh term, even n = 2d the
     (negative) Q(d)/sinh term.
     """
-    if n < 1:
-        raise DomainError("need n >= 1")
+    _check_index("n", n, 1)
     if n % 2:
         d = (n + 1) // 2
         log_mag = (math.log(3.0 * math.pi) + p_poly(d)
@@ -146,8 +142,7 @@ def inner_double_sum(n: int) -> float:
     2^n int_0^1 t^(n/2-1) (1+t)^-n (1 - cos((sqrt(3)/2) n ln t)) dt > 0, and
     at most 3 for n >= 2, so from n = 1076 the value is a signed zero.
     """
-    if n < 1:
-        raise DomainError("need n >= 1")
+    _check_index("n", n, 1)
     if n >= 1076:
         return 0.0 if n % 2 == 0 else -0.0
     diff = _pfaff_sum(n, 0.5 * n) - _pfaff_sum(n, complex(0.5 * n, -0.5 * _SQRT3 * n)).real

@@ -11,7 +11,7 @@ import math
 from functools import lru_cache
 
 from .accel import ConvergenceReport, PrecisionConfig, _first_terms, sum_alternating
-from .errors import DomainError
+from .errors import _check_index
 from .unity_product import coefficient_log_parts, product_coefficient
 
 __all__ = ["zeta_term", "zeta_via_series"]
@@ -25,10 +25,8 @@ def zeta_term(m: int, n: int) -> float:
     term below the double range underflows to 0.0 with its sign kept.
     Memoized on (m, n) and their types; `zeta_term.cache_clear()` empties it.
     """
-    if not (hasattr(m, "__index__") and hasattr(n, "__index__")):
-        raise DomainError(f"need integers m and n, got m={m!r}, n={n!r}")
-    if m < 2 or n < 1:
-        raise DomainError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
+    _check_index("m", m, 2)
+    _check_index("n", n, 1)
     if m == 2:
         # Gamma(1 + n) = n! collapses the term to 2*(-1)^(n-1)/n^2 exactly.
         return (1 if n % 2 else -1) * 2.0 / (n * n)

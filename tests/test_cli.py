@@ -239,7 +239,7 @@ def test_gamma_pfd_cvz_with_z_beyond_a():
 def test_converge_rejects_m_below_two_before_any_line():
     proc = run_cli("converge", "--m", "1")
     assert proc.returncode == 3
-    assert "need m >= 2 and n >= 1, got m=1, n=1" in proc.stderr
+    assert "m must be >= 2, got 1" in proc.stderr
     assert proc.stdout == ""
 
 

@@ -47,7 +47,7 @@ def test_tail_power_sum_consistency_with_oracle():
 
 def test_tail_power_sum_rejects_a_negative_cutoff():
     assert abs(tail_power_sum(2, 0) - math.pi ** 2 / 6) < 1e-15
-    with pytest.raises(DomainError, match="cutoff >= 0"):
+    with pytest.raises(DomainError, match="cutoff must be >= 0, got -5"):
         tail_power_sum(2, -5)
 
 

@@ -41,6 +41,12 @@ def test_single_node():
 def test_degenerate_nodes_rejected():
     with pytest.raises(DegenerateNodesError):
         pfd_coefficients([1.0, 1.0 + 1e-12])
+    # The first coincident pair (i, j), i < j, in row-major order is named.
+    for nodes, pair in [([1.0, 2.0, 1.0 + 1e-12], "nodes 0 and 2"),
+                        ([0.0, 1.0, 1.0 - 1e-12], "nodes 1 and 2"),
+                        ([3.0, 5.0, 5.0, 3.0], "nodes 0 and 3")]:
+        with pytest.raises(DegenerateNodesError, match=f"^{pair} coincide within 1e-10$"):
+            pfd_coefficients(nodes)
 
 
 def test_residual_trivial_points():

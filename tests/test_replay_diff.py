@@ -26,6 +26,8 @@ BASE = [
     'series-long 1000 0 3 ["inverse_square", 460.0, 16, "cvz"] raised OverflowError',
     'series-long 1000 0 4 ["gamma_pfd", 0.5, 0.1, 0.0, 16, "cvz"] '
     "0x1.0p+0 0x0.0p+0 0x1.0p-50",
+    'series-long 1000 0 5 ["modulus", 1.0, 0.5, 0] raised DomainError "need n_factors >= 1"',
+    'series-long 1000 0 6 ["modulus", 1.0, 0.5, -1] raised DomainError "need n_factors >= 1"',
     _cli(0, ["zeta", "3"], [_record(1.2, 1e-15)]),
     _cli(1, ["verify", "--suite", "pfd"], [], extra="PASS pfd: a\n1/1 checks passed\n"),
     _cli(2, ["zeta", "4"], [_record(1.08, 1e-15)]),
@@ -42,6 +44,10 @@ HEAD = [
     'series-long 1000 0 2 ["inverse_square", 2.3, 1024, "euler"] '
     "0x1.5faa995227bf6p-2 0x0.0p+0 0x1.0p-24",
     'series-long 1000 0 3 ["inverse_square", 460.0, 16, "cvz"] raised DomainError',
+    # same type, new message
+    'series-long 1000 0 5 ["modulus", 1.0, 0.5, 0] '
+    'raised DomainError "n_factors must be >= 1, got 0"',
+    'series-long 1000 0 6 ["modulus", 1.0, 0.5, -1] raised DomainError "need n_factors >= 1"',
     _cli(0, ["zeta", "3"], [_record(1.2, 2e-15)]),
     _cli(1, ["verify", "--suite", "pfd"], [], extra="FAIL pfd: a\n0/1 checks passed\n"),
     _cli(2, ["zeta", "4"], [], code=3, extra="error: bad input\n"),
@@ -63,6 +69,7 @@ def test_replay_diff_counts_each_kind_of_change(tmp_path):
         ("cli", "cli zeta"): ["2", "0", "1", "0", "1", "1", "0"],
         ("series-long", "gamma_pfd"): ["0", "0", "0", "0", "0", "0", "1"],
         ("series-long", "inverse_square"): ["2", "0", "0", "0", "0", "1", "0"],
+        ("series-long", "modulus"): ["2", "1", "0", "0", "0", "0", "0"],
         ("series-long", "zeta"): ["2", "1", "1", "1", "2.2e-16", "0", "0"],
     }
     assert out.splitlines()[0].startswith("| workload | kind | calls |")

@@ -216,6 +216,20 @@ def test_exp_log_takes_every_double():
             exp_log(lg)
 
 
+def test_exp_log_rejects_a_non_finite_logarithm():
+    # An overflowing real part is an overflow whatever the imaginary part;
+    # then a nan real part or an infinite or nan imaginary part is a DomainError.
+    for lg in (complex(math.inf, math.nan), complex(800.0, math.inf)):
+        with pytest.raises(OverflowError, match="exceeds double range"):
+            exp_log(lg)
+    for lg in (math.nan, complex(1.0, math.nan), complex(0.0, math.inf),
+               complex(-math.inf, math.inf), complex(math.nan, 1.0)):
+        with pytest.raises(DomainError, match="exp_log needs"):
+            exp_log(lg)
+    assert exp_log(-math.inf) == 0j
+    assert exp_log(complex(-math.inf, 1.0)) == 0j
+
+
 def test_gamma_overflow_message():
     with pytest.raises(OverflowError, match="exceeds double range"):
         gamma(200.0)
