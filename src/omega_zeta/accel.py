@@ -136,82 +136,78 @@ def euler_average(terms):
     """Euler transform of the real series `terms`.
 
     Returns (limit, error_estimate).  With N partial sums S_0..S_(N-1)
-    the limit is the binomial mean last = sum_k C(N-1,k) S_k / 2^(N-1),
-    the last entry of the triangle that averages neighbouring sums N-1
-    times, and the truncation estimate is |last - prev|, where prev is
-    the same mean of the first N-1 sums.  By Pascal's rule C(N-1,k) =
-    C(N-2,k) + C(N-2,k-1), last - prev = 1/2 sum_j w'_j t_(j+1) with
-    w'_j = C(N-2,j)/2^(N-2), summed from the terms.  A single term is its
-    own limit, with estimate |t_0|.
+    the limit is the binomial mean last = sum_k w_k S_k, w_k =
+    C(N-1,k)/2^(N-1), the last entry of the triangle that averages
+    neighbouring sums N-1 times, and the truncation estimate is
+    |last - prev|, where prev is the same mean of the first N-1 sums.  By
+    Pascal's rule C(N-1,k) = C(N-2,k) + C(N-2,k-1), last - prev =
+    1/2 sum_j w'_j t_(j+1) with w'_j = C(N-2,j)/2^(N-2), summed from the
+    terms.  A single term is its own limit, with estimate |t_0|.
 
-    Both sums run over one window of weights, the k = lo .. N-1-lo
-    with w_k = C(N-1,k)/2^(N-1) >= u^2 = 2^-106 (u = 2^-53, _CUT = 106): a
-    smaller weight cannot reach a double result that has not cancelled to
-    within a few u of its sums.  The weights follow a normal density of
-    variance (N-1)/4 closely, so the window holds about
-    sqrt(2 ln 2 _CUT (N-1)), some 12 sqrt(N), of them: all of them up to
-    N = 107, 374 of 1024 and 750 of 4096.  Below lo the weights fall at
-    least geometrically, w_(k-1)/w_k <= r = (lo-1)/(N-lo+1), so the 2 lo
-    weights left out weigh m <= 2 w_(lo-1)/(1-r), a few u^2.  The products
-    they would have made sum to at most m max|S_k| <= D = m A_(N-1) (A_k
-    below), and D goes into the bound in full, so the estimate stays a
-    bound.  D is a few u^2 A_(N-1), a few u of the u sum_k w_k A_k that the
-    bound already holds while the sums grow no faster than a power of k.
-    The mean itself moves only where the full and the windowed exact sums
-    round apart, which needs a mean within a few u max|S_k| of zero.
+    Both sums run over one window of weights, the k = lo .. N-1-lo with
+    w_k >= u^2 = 2^-106 (u = 2^-53, _CUT = 106): a smaller weight cannot
+    reach a double result that has not cancelled to within a few u of its
+    sums.  The weights follow a normal density of variance (N-1)/4
+    closely, so the window holds about sqrt(2 ln 2 _CUT (N-1)), some
+    12 sqrt(N), of them: all of them up to N = 107, 374 of 1024 and 750 of
+    4096.  Below lo the weights fall at least geometrically, w_(k-1)/w_k
+    <= r = (lo-1)/(N-lo+1), so the 2 lo weights left out weigh
+    m <= 2 w_(lo-1)/(1-r), a few u^2.  The step's window starts no later
+    (w_k <= w'_k below the middle) and w'_k <= 2 w_k, so it leaves out
+    m' <= 2m.  The mean moves only where the full and the windowed exact
+    sums round apart, which needs a mean within a few u max|S_k| of zero.
 
-    Rounding is bounded a posteriori and added to the estimate.  Each
-    rounding to nearest returns x' with |x' - x| <= u|x'| (Higham,
-    Accuracy and Stability, 2nd ed., (2.5)), plus at most 2^-1075 where
-    the result underflows.  For real sums, with W the window:
+    Rounding is bounded a posteriori (Higham, Accuracy and Stability, 2nd
+    ed., (2.5) and section 4.2): each rounding to nearest is within u of
+    its result, plus 2^-1075 where it underflows.  With A = sum_i |S'_i|
+    and T_i the sum of the window's weights w_k, k >= i (T_lo below the
+    window, 0 above it), the sums S'_k = fl(S'_(k-1) + t_k) put at most
+    u sum_i |S'_i| T_i into the mean; the weights, each rounded once from
+    exact integers, and the products p_k = fl(w_k S'_k), |p_k| <=
+    (1+u) w_k |S'_k|, put u (2+u) sum_k |p_k|; math.fsum u |last|; and the
+    sums left out (1+u) m A.  So |last - sum_k w_k S_k| <=
+    u (|last| + (2+u) sum_k |p_k| + sum_i |S'_i| T_i) + (1+u) m A +
+    2^-1075 (2N + 1 + A).  The step's window leaves out at most 2 m' A, and
+    its roundings, with those of the S'_k the terms stand in for, come to
+    2u sum_j |w'_j t_(j+1)| <= 5u sum_k w_k |S'_k|, as |t_(j+1)| <=
+    (1+u)(|S'_j| + |S'_(j+1)|) and w'_(k-1) + w'_k = 2 w_k.
 
-    * the sums come from recursive summation, S'_k = fl(S'_(k-1) + t_k),
-      so |S'_k - S_k| <= u A_k with A_k = sum_(i<=k) |S'_i| (Higham
-      section 4.2); through the mean this is at most u sum_(k in W) w_k A_k
-      = u sum_i |S'_i| T_i, with T_i = sum_(k in W, k >= i) w_k;
-    * each weight w'_k = c_k / 2^(N-1) is one correctly rounded division
-      of exact integers: |w'_k - w_k| <= u w'_k, and w'_k |S'_k| is at
-      most (1+u)|p_k| for the product p_k = fl(w'_k S'_k);
-    * each product: |p_k - w'_k S'_k| <= u |p_k|;
-    * math.fsum rounds the sum of the p_k correctly: the error is at most
-      u |last|;
-    * the sums left out add sum_(k not in W) w_k |S_k|, at most
-      m (max|S'_k| + u A_(N-1)) <= (1+u) D.
+    The estimate doubles the mean's bound, which covers its u^2 terms and
+    the roundings in evaluating it (sums of nonnegative numbers, within a
+    factor 1 + 2Nu of exact), and folds every part that grows with the
+    sums into one dot product sum_i z_i |S'_i|, with coefficients
 
-    Together |last - sum_k w_k S_k| is at most
+        z_k = 2u (T_k + 2 w_k) + 5u w_k + 2m + 4m + 2^-1074
 
-        u (|last| + (2+u) sum_(k in W) |p_k| + sum_i |S'_i| T_i)
-          + (1+u) D + 2^-1075 (2N + 1 + A_(N-1)).
-
-    The code doubles every coefficient, which covers the u^2 and u D terms
-    and the roundings made in evaluating the bound itself: its sums of
-    nonnegative numbers (T_i, A_(N-1), sum |p_k| and sum |S'_i| T_i), in
-    any order, are within a factor 1 + 2Nu of exact, far below 2 for
-    any N that fits in memory.  Summed over every weight, the bound would
-    hold 2u (2|p_k| + w_k A_k) for each k left out, in all at most
-    2u m (3 max|S'_k| + A_(N-1)) <= 8u D, which 2D covers: the window never
-    makes the bound smaller.  The step only perturbs the truncation
-    estimate: it is a plain sum, plus 2u sum_j |w'_j t_(j+1)| for its
-    roundings and those of the S'_k the terms stand in for, 3u |last| for
-    those that two rounded means and their products would put in it, and
-    2 m' A_(N-1) for the mass m' its window leaves out.
+    cached per window position (_binomial_weights); z_lo and z_(N-1-lo)
+    stand for the sums left out below and above.  The estimate is
+    |last - prev| + 5u |last| + sum_i z_i |S'_i| + 2^-1074 (2N + 1), where
+    3u |last| covers what two rounded means would put in the step.  Over
+    every weight the bound would add at most 2u (2 w_k + m) per
+    coefficient, which 2m covers: the window never makes it smaller.
     """
     n = len(terms)
     if n == 1:
         return terms[0], abs(terms[0])
-    last, rounding, total = _binomial_mean(list(accumulate(terms)))
-    lo, weights, _, mass = _binomial_weights(n - 2)
-    steps = list(map(operator.mul, weights, terms[lo + 1:]))
-    return last, (abs(sum(steps)) / 2.0 + _U * (3.0 * abs(last) + 2.0 * sum(map(abs, steps)))
-                  + 2.0 * mass * total + rounding)
+    sums = list(accumulate(terms))
+    lo, weights, z, _ = _binomial_weights(n - 1)
+    window = sums[lo:n - lo] if lo else sums  # no copy while the window holds every sum
+    last = math.fsum(map(operator.mul, weights, window))
+    bound = sum(map(operator.mul, z, map(abs, window)))
+    if lo:
+        bound += z[0] * sum(map(abs, sums[:lo])) + z[-1] * sum(map(abs, sums[n - lo:]))
+    lo, weights = _binomial_weights(n - 2)[:2]
+    step = sum(map(operator.mul, weights, terms[lo + 1:]))
+    return last, abs(step) / 2.0 + 5.0 * _U * abs(last) + bound + _TINY * (2 * n + 1)
 
 
 @lru_cache(maxsize=None)
 def _binomial_weights(n):
-    """(lo, weights, tails, m): the weights C(n,k) / 2^n >= 2^-_CUT, k = lo ..
-    n - lo, each rounded once from exact integers, their suffix sums T_k and
-    a bound m on the mass of the 2 lo weights left out (see euler_average).
-    Tuples, since the cache hands the same objects to every caller."""
+    """(lo, weights, z, m): the weights C(n,k) / 2^n >= 2^-_CUT, k = lo ..
+    n - lo, each rounded once from exact integers, the coefficient z_k of
+    each in the rounding bound of a mean of n + 1 sums, and a bound m on
+    the mass of the 2 lo weights left out (see euler_average).  Tuples,
+    since the cache hands the same objects to every caller."""
     floor = 1 << max(n - _CUT, 0)
     lo = bisect_left(range(n // 2 + 1), floor, key=partial(math.comb, n))
     scale = 1 << n
@@ -222,21 +218,10 @@ def _binomial_weights(n):
     for k in range(lo, n - lo + 1):
         weights.append(c / scale)
         c = c * (n - k) // (k + 1)
-    return lo, tuple(weights), tuple(accumulate(reversed(weights)))[::-1], mass
-
-
-def _binomial_mean(sums):
-    """(sum_k w_k s_k, rounding bound, A_n = sum_k |s_k|) as derived in
-    euler_average, with 2D = 2 m A_n in the bound."""
-    lo, weights, tails, mass = _binomial_weights(len(sums) - 1)
-    products = list(map(operator.mul, weights, sums[lo:]))
-    mean = math.fsum(products)
-    magnitudes = list(map(abs, sums))
-    total = sum(magnitudes)
-    drift = sum(map(operator.mul, tails, magnitudes[lo:]), tails[0] * sum(magnitudes[:lo]))
-    bound = (2.0 * _U * (abs(mean) + 2.0 * sum(map(abs, products)) + drift)
-             + 2.0 * mass * total + _TINY * (2 * len(sums) + 1 + total))
-    return mean, bound, total
+    least = 6.0 * mass + _TINY  # 2m for the mean's window, 2m' <= 4m for the step's
+    tails = accumulate(reversed(weights))
+    z = [2.0 * _U * t + 9.0 * _U * w + least for t, w in zip(tails, reversed(weights))]
+    return lo, tuple(weights), tuple(z[::-1]), mass
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,19 @@ cross-checks against it are not circular.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError, _check_index
 from .special import _BERNOULLI
 
 __all__ = ["zeta_oracle", "tail_power_sum"]
+
+
+def _check_exponent(caller, name, value):
+    """DomainError unless `value` is a float or an integer, finite and >= 2."""
+    real = isinstance(value, float) or hasattr(value, "__index__")
+    if not (real and 2 <= value < math.inf):
+        raise DomainError(f"{caller} needs a finite {name} >= 2, got {value!r}")
 
 
 def _add_bernoulli_corrections(total: float, s: int, n: int) -> float:
@@ -35,8 +44,7 @@ def zeta_oracle(s: int) -> float:
     then six Bernoulli correction terms.  Accurate to well below 1e-13
     relative.
     """
-    if s < 2:
-        raise DomainError(f"zeta_oracle needs s >= 2, got {s}")
+    _check_exponent("zeta_oracle", "s", s)
     n = 20
     total = sum(k ** (-float(s)) for k in range(1, n))
     total += n ** (1.0 - s) / (s - 1.0)
@@ -52,8 +60,7 @@ def tail_power_sum(p: int, cutoff: int) -> float:
     for small cutoffs the leading terms are summed explicitly before the
     corrections are applied at 20.
     """
-    if p < 2:
-        raise DomainError(f"tail_power_sum needs p >= 2, got p = {p}")
+    _check_exponent("tail_power_sum", "p", p)
     _check_index("cutoff", cutoff, 0)
     n = max(cutoff, 20)
     total = sum(k ** (-float(p)) for k in range(cutoff + 1, n + 1))

@@ -10,6 +10,7 @@ and the coefficients sum to zero for n >= 2.
 
 from __future__ import annotations
 
+import cmath
 from collections import namedtuple
 
 from .errors import DegenerateNodesError, DomainError, PoleError
@@ -26,6 +27,9 @@ def pfd_coefficients(a) -> PfdResult:
     n = len(nodes)
     if n < 1:
         raise DomainError("need at least one node")
+    for i, node in enumerate(nodes):
+        if not cmath.isfinite(node):
+            raise DomainError(f"node {i} is {node}: nodes must be finite")
     coefficients = []
     for i in range(n):
         mu = 1.0 + 0j

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omega_zeta import (
     AccelerationMethod,
@@ -16,7 +18,6 @@ from omega_zeta import (
     sum_alternating,
 )
 from omega_zeta.accel import (
-    _binomial_mean,
     _binomial_weights,
     _cvz,
     _cvz_weights,
@@ -185,6 +186,8 @@ def _series(kind, n):
     if kind == "divergent":
         return [(-1.0) ** k * (k + 1) for k in range(n)]
     rng = random.Random(n)
+    if kind == "subnormal":  # the products round to multiples of 2^-1074
+        return [rng.choice((-1, 1)) * rng.randint(0, 3) * 5e-324 for _ in range(n)]
     return [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3, 3) for _ in range(n)]
 
 
@@ -197,9 +200,65 @@ def _real_series(kind, n):
     return [[t.real for t in terms], [t.imag for t in terms]]
 
 
-def _exact_mean(sums):
-    n = len(sums) - 1
-    return sum(math.comb(n, k) * s for k, s in enumerate(sums)) / 2 ** n
+def _binomials(n):
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
+
+
+def _scaled(x):
+    """x * 2^1074 as an exact integer: every double is a multiple of 2^-1074."""
+    p, q = x.as_integer_ratio()
+    return p * ((1 << 1074) // q)
+
+
+def _exact_means(terms):
+    """The Euler means, as Fractions, of the float partial sums as given
+    and of the exact partial sums of the float terms."""
+    row, scale = _binomials(len(terms) - 1), 1 << (len(terms) - 1 + 1074)
+    given = sum(map(operator.mul, row, map(_scaled, accumulate(terms))))
+    exact = sum(map(operator.mul, row, accumulate(map(_scaled, terms))))
+    return Fraction(given, scale), Fraction(exact, scale)
+
+
+def _rounding_part(terms, value, est):
+    """The part of the estimate beyond |last - prev|, 5u |last| +
+    sum_i z_i |S'_i| + 2^-1074 (2N + 1), as an exact Fraction, checked to
+    make up `est` in euler_average's own order of evaluation."""
+    u, tiny, n = 2.0 ** -53, 2.0 ** -1074, len(terms)
+    sums = list(accumulate(terms))
+    lo, _, z, _ = _binomial_weights(n - 1)
+    window = sums[lo:n - lo]
+    bound = sum(map(operator.mul, z, map(abs, window)))
+    if lo:
+        bound += z[0] * sum(map(abs, sums[:lo])) + z[-1] * sum(map(abs, sums[n - lo:]))
+    lo, weights, _, _ = _binomial_weights(n - 2)
+    step = sum(map(operator.mul, weights, terms[lo + 1:]))
+    assert est == abs(step) / 2.0 + 5.0 * u * abs(value) + bound + tiny * (2 * n + 1)
+    return Fraction(5.0 * u * abs(value)) + Fraction(bound) + Fraction(tiny) * (2 * n + 1)
+
+
+def _euler_split(terms):
+    """The Euler estimate with each part of its rounding bound summed on
+    its own, over the suffix sums T_k of the window's weights: the form
+    the cached z_k fold, kept here as the reference the estimate must
+    not fall below."""
+    u, tiny, n = 2.0 ** -53, 2.0 ** -1074, len(terms)
+    sums = list(accumulate(terms))
+    lo, weights, _, mass = _binomial_weights(n - 1)
+    tails = tuple(accumulate(reversed(weights)))[::-1]
+    products = list(map(operator.mul, weights, sums[lo:]))
+    mean = math.fsum(products)
+    magnitudes = list(map(abs, sums))
+    total = sum(magnitudes)
+    drift = sum(map(operator.mul, tails, magnitudes[lo:]), tails[0] * sum(magnitudes[:lo]))
+    rounding = (2.0 * u * (abs(mean) + 2.0 * sum(map(abs, products)) + drift)
+                + 2.0 * mass * total + tiny * (2 * n + 1 + total))
+    lo, weights, _, mass = _binomial_weights(n - 2)
+    steps = list(map(operator.mul, weights, terms[lo + 1:]))
+    return mean, (abs(sum(steps)) / 2.0 + u * (3.0 * abs(mean) + 2.0 * sum(map(abs, steps)))
+                  + 2.0 * mass * total + rounding)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "divergent"])
@@ -214,27 +273,38 @@ def test_euler_closed_form_matches_triangle(kind, n):
         assert est >= ref_est - 2 * ulps
 
 
-@pytest.mark.parametrize("kind", ["real", "complex", "divergent", "random"])
+@pytest.mark.parametrize("kind", ["real", "complex", "divergent", "random", "subnormal"])
 @pytest.mark.parametrize("n", [2, 3, 17, 256, 1100])
 def test_euler_rounding_bound_holds_exactly(kind, n):
     # n = 1100 takes the outer weights C(1099, k)/2^1099 below the normal
     # range, down to 0.0.
     for terms in _real_series(kind, n):
-        sums = list(accumulate(terms))
         value, est = euler_average(terms)
-        last, rounding, total = _binomial_mean(sums)
-        # the step last - prev by Pascal's rule, over the N - 2 weights
-        lo, weights, _, mass = _binomial_weights(n - 2)
-        steps = [w * t for w, t in zip(weights, terms[lo + 1:])]
-        allowance = 2.0 ** -53 * (3.0 * abs(last) + 2.0 * sum(map(abs, steps)))
-        assert (value, est) == (last, abs(sum(steps)) / 2.0 + allowance
-                                + 2.0 * mass * total + rounding)
-        # The Euler sum of the float partial sums as given ...
-        given = _exact_mean(list(map(Fraction, sums)))
-        assert abs(Fraction(value) - given) <= rounding
-        # ... and of the exact partial sums of the float terms.
-        exact = _exact_mean(list(accumulate(map(Fraction, terms))))
-        assert abs(Fraction(value) - exact) <= rounding
+        ref, ref_est = _euler_split(terms)
+        assert value.hex() == ref.hex() and est >= ref_est
+        rounding = _rounding_part(terms, value, est)
+        # The Euler sum of the float partial sums as given, and of the
+        # exact partial sums of the float terms.
+        for mean in _exact_means(terms):
+            assert abs(Fraction(value) - mean) <= rounding
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, 1100), st.integers(0, 2 ** 32),
+       st.floats(-300.0, 300.0), st.floats(0.0, 300.0))
+def test_euler_rounding_part_bounds_the_exact_mean(n, seed, centre, spread):
+    # Mixed signs, and magnitudes anywhere in 1e-300 .. 1e300.
+    rng = random.Random(seed)
+    terms = [rng.choice((-1.0, 1.0))
+             * 10.0 ** min(300.0, max(-300.0, centre + rng.uniform(-spread, spread)))
+             for _ in range(n)]
+    value, est = euler_average(terms)
+    lo, weights, _, _ = _binomial_weights(n - 1)
+    products = map(operator.mul, weights, list(accumulate(terms))[lo:])
+    assert value.hex() == math.fsum(products).hex()
+    rounding = _rounding_part(terms, value, est)
+    for mean in _exact_means(terms):
+        assert abs(Fraction(value) - mean) <= rounding
 
 
 def test_binomial_weights_cache_returns_the_same_tuple_bits():
@@ -305,31 +375,46 @@ def test_euler_step_is_half_the_next_weighted_term_sum(n):
     # means exact: last - prev = 1/2 sum_j w'_j (S_(j+1) - S_j).
     # Each side is counted in units of 2^-(N-1) times the finest sum's last
     # bit, where every quantity is an exact integer.
-    def binomials(m):
-        row = [1]
-        for k in range(m):
-            row.append(row[-1] * (m - k) // (k + 1))
-        return row
-
     for name, terms in _window_families(n):
         sums = [s.as_integer_ratio() for s in accumulate(terms)]
         unit = max(d for _, d in sums)
         sums = [p * (unit // d) for p, d in sums]
-        step = sum(map(operator.mul, binomials(n - 2), map(operator.sub, sums[1:], sums)))
-        last = sum(map(operator.mul, binomials(n - 1), sums))
-        prev = 2 * sum(map(operator.mul, binomials(n - 2), sums))
+        step = sum(map(operator.mul, _binomials(n - 2), map(operator.sub, sums[1:], sums)))
+        last = sum(map(operator.mul, _binomials(n - 1), sums))
+        prev = 2 * sum(map(operator.mul, _binomials(n - 2), sums))
         assert step == last - prev, name
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 17, 256, 1023, 4095])
-def test_tail_weights_are_the_suffix_sums_of_the_window(n):
-    _, weights, tails, _ = _binomial_weights(n)
-    assert type(tails) is tuple and len(tails) == len(weights)
-    assert _binomial_weights(n)[2] is tails
-    exact = list(accumulate(map(Fraction, reversed(weights))))[::-1]
-    for k, (tail, ref) in enumerate(zip(tails, exact)):
-        # a suffix of len(weights) - k roundings, each within u of its sum
-        assert abs(Fraction(tail) - ref) <= (len(weights) - k) * 2.0 ** -53 * ref
+def test_bound_coefficients_cover_the_parts_they_fold(n):
+    # In exact arithmetic, each z_k of a mean of n + 1 sums bounds what it
+    # folds for sum k: the drift u T_k over the suffix sums of the window's
+    # weights, the weight's and the product's roundings u (2+u)(1+u) w_k,
+    # the mass left out of the mean's window, (1+u) m, and of the step's,
+    # 2 m', the underflow allowance 2^-1075 and the step's roundings
+    # 2u (1+u)^2 (w'_(k-1) + w'_k).  The masses are checked against the
+    # exact binomials.  z_lo and z_(n-lo) cover every sum left out below
+    # and above the window.  The doubling of all but the step's parts
+    # leaves room for the roundings of the cached floats.
+    u = Fraction(1, 2 ** 53)
+    lo, weights, z, mass = _binomial_weights(n)
+    assert type(z) is tuple and len(z) == len(weights)
+    assert _binomial_weights(n)[2] is z
+    assert 2 * sum(Fraction(math.comb(n, k), 2 ** n) for k in range(lo)) <= mass
+    w = [Fraction(0)] * (n + 1)
+    w[lo:n - lo + 1] = map(Fraction, weights)
+    tails = list(accumulate(reversed(w)))[::-1]
+    step = [Fraction(0)] * (n + 1)  # w'_j, zero outside the step's window
+    if n:
+        lo1, weights1, _, mass1 = _binomial_weights(n - 1)
+        step[lo1:n - lo1] = map(Fraction, weights1)
+    else:
+        mass1 = 0.0
+    least = (1 + u) * Fraction(mass) + 2 * Fraction(mass1) + Fraction(2.0 ** -1075)
+    for k in range(n + 1):
+        part = (u * tails[k] + u * (2 + u) * (1 + u) * w[k] + least
+                + 2 * u * (1 + u) ** 2 * (step[k] + (step[k - 1] if k else 0)))
+        assert Fraction(z[min(max(k - lo, 0), len(z) - 1)]) >= part, k
 
 
 def test_euler_window_holds_order_sqrt_n_weights():
@@ -426,6 +511,13 @@ def test_euler_estimate_is_never_zero(n):
 def test_non_finite_sums_raise_typed_errors(terms, error, method):
     if error is OverflowError and method is CVZ and terms[1] > 0:
         error = SignPatternError  # these terms do not alternate
+    if error is OverflowError and method is EULER and terms[1] < 0:
+        # Euler's bound stays finite on partial sums 1e308, 0, 1e308, 0,
+        # and the mean is exact.
+        for scale in (1.0, 1.0 + 0.5j):
+            rep = sum_alternating([t * scale for t in terms], method)
+            assert abs(rep.value - 5e307 * scale) <= rep.error_estimate < 1e294
+        return
     match = {DomainError: "must be finite", OverflowError: "exceeds double range",
              SignPatternError: "alternate"}[error]
     with pytest.raises(error, match=match):

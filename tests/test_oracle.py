@@ -28,6 +28,17 @@ def test_zeta_oracle_domain():
         zeta_oracle(1)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: zeta_oracle(math.nan), "zeta_oracle needs a finite s >= 2, got nan"),
+    (lambda: zeta_oracle(math.inf), "zeta_oracle needs a finite s >= 2, got inf"),
+    (lambda: zeta_oracle("3"), "zeta_oracle needs a finite s >= 2, got '3'"),
+    (lambda: tail_power_sum(math.nan, 3), "tail_power_sum needs a finite p >= 2, got nan"),
+], ids=["zeta-nan", "zeta-inf", "zeta-str", "tail-nan"])
+def test_non_finite_or_non_numeric_exponent_is_a_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("p", [2, 3, 4, 6, 9, 15])
 @pytest.mark.parametrize("cutoff", [5, 20, 100])
 def test_tail_power_sum_vs_multiprecision(p, cutoff):

@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
-from omega_zeta import (DegenerateNodesError, PfdResult, PoleError, pfd_coefficients,
-                        pfd_residual)
+from omega_zeta import (DegenerateNodesError, DomainError, PfdResult, PoleError,
+                        pfd_coefficients, pfd_residual)
 
 
 def test_two_nodes():
@@ -47,6 +48,16 @@ def test_degenerate_nodes_rejected():
                         ([3.0, 5.0, 5.0, 3.0], "nodes 0 and 3")]:
         with pytest.raises(DegenerateNodesError, match=f"^{pair} coincide within 1e-10$"):
             pfd_coefficients(nodes)
+
+
+@pytest.mark.parametrize("nodes,message", [
+    ([math.nan, 1.0], r"node 0 is \(nan\+0j\): nodes must be finite"),
+    ([math.inf, 1.0], r"node 0 is \(inf\+0j\): nodes must be finite"),
+    ([1.0, complex(0.0, -math.inf)], r"node 1 is -infj: nodes must be finite"),
+], ids=["nan", "inf", "imag-inf"])
+def test_non_finite_node_is_a_domain_error(nodes, message):
+    with pytest.raises(DomainError, match=message):
+        pfd_coefficients(nodes)
 
 
 def test_residual_trivial_points():
