@@ -190,7 +190,7 @@ def euler_average(terms):
     if n == 1:
         return terms[0], abs(terms[0])
     sums = list(accumulate(terms))
-    lo, weights, z, _ = _binomial_weights(n - 1)
+    lo, weights, z = _binomial_weights(n - 1)
     window = sums[lo:n - lo] if lo else sums  # no copy while the window holds every sum
     last = math.fsum(map(operator.mul, weights, window))
     bound = sum(map(operator.mul, z, map(abs, window)))
@@ -203,11 +203,11 @@ def euler_average(terms):
 
 @lru_cache(maxsize=None)
 def _binomial_weights(n):
-    """(lo, weights, z, m): the weights C(n,k) / 2^n >= 2^-_CUT, k = lo ..
-    n - lo, each rounded once from exact integers, the coefficient z_k of
-    each in the rounding bound of a mean of n + 1 sums, and a bound m on
-    the mass of the 2 lo weights left out (see euler_average).  Tuples,
-    since the cache hands the same objects to every caller."""
+    """(lo, weights, z): the weights C(n,k) / 2^n >= 2^-_CUT, k = lo ..
+    n - lo, each rounded once from exact integers, and the coefficient z_k
+    of each in the rounding bound of a mean of n + 1 sums, which takes in a
+    bound m on the mass of the 2 lo weights left out (see euler_average).
+    Tuples, since the cache hands the same objects to every caller."""
     floor = 1 << max(n - _CUT, 0)
     lo = bisect_left(range(n // 2 + 1), floor, key=partial(math.comb, n))
     scale = 1 << n
@@ -221,7 +221,7 @@ def _binomial_weights(n):
     least = 6.0 * mass + _TINY  # 2m for the mean's window, 2m' <= 4m for the step's
     tails = accumulate(reversed(weights))
     z = [2.0 * _U * t + 9.0 * _U * w + least for t, w in zip(tails, reversed(weights))]
-    return lo, tuple(weights), tuple(z[::-1]), mass
+    return lo, tuple(weights), tuple(z[::-1])
 
 
 @lru_cache(maxsize=None)

@@ -17,9 +17,12 @@ __all__ = ["zeta_oracle", "tail_power_sum"]
 
 
 def _check_exponent(caller, name, value):
-    """DomainError unless `value` is a float or an integer, finite and >= 2."""
-    real = isinstance(value, float) or hasattr(value, "__index__")
-    if not (real and 2 <= value < math.inf):
+    """DomainError unless `value` is a real number, finite and >= 2."""
+    try:
+        ok = 2 <= value < math.inf
+    except TypeError:  # a string, a complex number
+        ok = False
+    if not ok:
         raise DomainError(f"{caller} needs a finite {name} >= 2, got {value!r}")
 
 

@@ -228,25 +228,33 @@ def _rounding_part(terms, value, est):
     make up `est` in euler_average's own order of evaluation."""
     u, tiny, n = 2.0 ** -53, 2.0 ** -1074, len(terms)
     sums = list(accumulate(terms))
-    lo, _, z, _ = _binomial_weights(n - 1)
+    lo, _, z = _binomial_weights(n - 1)
     window = sums[lo:n - lo]
     bound = sum(map(operator.mul, z, map(abs, window)))
     if lo:
         bound += z[0] * sum(map(abs, sums[:lo])) + z[-1] * sum(map(abs, sums[n - lo:]))
-    lo, weights, _, _ = _binomial_weights(n - 2)
+    lo, weights, _ = _binomial_weights(n - 2)
     step = sum(map(operator.mul, weights, terms[lo + 1:]))
     assert est == abs(step) / 2.0 + 5.0 * u * abs(value) + bound + tiny * (2 * n + 1)
     return Fraction(5.0 * u * abs(value)) + Fraction(bound) + Fraction(tiny) * (2 * n + 1)
 
 
+def _left_out(n):
+    """The exact mass 2 sum_(k<lo) C(n,k)/2^n of the weights that the
+    window of a mean of n + 1 sums leaves out."""
+    lo = _binomial_weights(n)[0]
+    return 2 * sum(Fraction(math.comb(n, k), 2 ** n) for k in range(lo))
+
+
 def _euler_split(terms):
     """The Euler estimate with each part of its rounding bound summed on
-    its own, over the suffix sums T_k of the window's weights: the form
-    the cached z_k fold, kept here as the reference the estimate must
-    not fall below."""
+    its own, over the suffix sums T_k of the window's weights and the
+    exact mass each window leaves out: the form the cached z_k fold, kept
+    here as the reference the estimate must not fall below."""
     u, tiny, n = 2.0 ** -53, 2.0 ** -1074, len(terms)
     sums = list(accumulate(terms))
-    lo, weights, _, mass = _binomial_weights(n - 1)
+    lo, weights, _ = _binomial_weights(n - 1)
+    mass = float(_left_out(n - 1))
     tails = tuple(accumulate(reversed(weights)))[::-1]
     products = list(map(operator.mul, weights, sums[lo:]))
     mean = math.fsum(products)
@@ -255,7 +263,8 @@ def _euler_split(terms):
     drift = sum(map(operator.mul, tails, magnitudes[lo:]), tails[0] * sum(magnitudes[:lo]))
     rounding = (2.0 * u * (abs(mean) + 2.0 * sum(map(abs, products)) + drift)
                 + 2.0 * mass * total + tiny * (2 * n + 1 + total))
-    lo, weights, _, mass = _binomial_weights(n - 2)
+    lo, weights, _ = _binomial_weights(n - 2)
+    mass = float(_left_out(n - 2))
     steps = list(map(operator.mul, weights, terms[lo + 1:]))
     return mean, (abs(sum(steps)) / 2.0 + u * (3.0 * abs(mean) + 2.0 * sum(map(abs, steps)))
                   + 2.0 * mass * total + rounding)
@@ -299,7 +308,7 @@ def test_euler_rounding_part_bounds_the_exact_mean(n, seed, centre, spread):
              * 10.0 ** min(300.0, max(-300.0, centre + rng.uniform(-spread, spread)))
              for _ in range(n)]
     value, est = euler_average(terms)
-    lo, weights, _, _ = _binomial_weights(n - 1)
+    lo, weights, _ = _binomial_weights(n - 1)
     products = map(operator.mul, weights, list(accumulate(terms))[lo:])
     assert value.hex() == math.fsum(products).hex()
     rounding = _rounding_part(terms, value, est)
@@ -311,8 +320,8 @@ def test_binomial_weights_cache_returns_the_same_tuple_bits():
     grid = (0, 1, 2, 17, 256, 1100)
 
     def bits(n):
-        lo, weights, _, mass = _binomial_weights(n)
-        return lo, [w.hex() for w in weights], mass.hex()
+        lo, weights, z = _binomial_weights(n)
+        return lo, [w.hex() for w in weights], [c.hex() for c in z]
 
     before = [bits(n) for n in grid]
     assert all(type(_binomial_weights(n)[1]) is tuple for n in grid)
@@ -392,25 +401,23 @@ def test_bound_coefficients_cover_the_parts_they_fold(n):
     # weights, the weight's and the product's roundings u (2+u)(1+u) w_k,
     # the mass left out of the mean's window, (1+u) m, and of the step's,
     # 2 m', the underflow allowance 2^-1075 and the step's roundings
-    # 2u (1+u)^2 (w'_(k-1) + w'_k).  The masses are checked against the
-    # exact binomials.  z_lo and z_(n-lo) cover every sum left out below
-    # and above the window.  The doubling of all but the step's parts
+    # 2u (1+u)^2 (w'_(k-1) + w'_k).  The masses m and m' are the exact
+    # ones, from the binomials.  z_lo and z_(n-lo) cover every sum left out
+    # below and above the window.  The doubling of all but the step's parts
     # leaves room for the roundings of the cached floats.
     u = Fraction(1, 2 ** 53)
-    lo, weights, z, mass = _binomial_weights(n)
+    lo, weights, z = _binomial_weights(n)
     assert type(z) is tuple and len(z) == len(weights)
     assert _binomial_weights(n)[2] is z
-    assert 2 * sum(Fraction(math.comb(n, k), 2 ** n) for k in range(lo)) <= mass
     w = [Fraction(0)] * (n + 1)
     w[lo:n - lo + 1] = map(Fraction, weights)
     tails = list(accumulate(reversed(w)))[::-1]
     step = [Fraction(0)] * (n + 1)  # w'_j, zero outside the step's window
     if n:
-        lo1, weights1, _, mass1 = _binomial_weights(n - 1)
+        lo1, weights1, _ = _binomial_weights(n - 1)
         step[lo1:n - lo1] = map(Fraction, weights1)
-    else:
-        mass1 = 0.0
-    least = (1 + u) * Fraction(mass) + 2 * Fraction(mass1) + Fraction(2.0 ** -1075)
+    least = ((1 + u) * _left_out(n) + 2 * (_left_out(n - 1) if n else 0)
+             + Fraction(2.0 ** -1075))
     for k in range(n + 1):
         part = (u * tails[k] + u * (2 + u) * (1 + u) * w[k] + least
                 + 2 * u * (1 + u) ** 2 * (step[k] + (step[k - 1] if k else 0)))
@@ -419,12 +426,11 @@ def test_bound_coefficients_cover_the_parts_they_fold(n):
 
 def test_euler_window_holds_order_sqrt_n_weights():
     n = 4095
-    lo, weights, _, mass = _binomial_weights(n)
+    lo, weights, _ = _binomial_weights(n)
     assert len(weights) == n + 1 - 2 * lo <= 12 * math.sqrt(n + 1)
     # the window is the weights >= u^2; those left out weigh a few u^2
     assert min(weights) >= 2.0 ** -106 > math.comb(n, lo - 1) / 2 ** n
-    exact = 2 * sum(Fraction(math.comb(n, k), 2 ** n) for k in range(lo))
-    assert exact <= mass <= 8 * 2.0 ** -106
+    assert _left_out(n) <= 8 * 2.0 ** -106
     assert len(_binomial_weights(106)[1]) == 107  # every weight up to N = 107
 
 

@@ -1,6 +1,7 @@
 import ast
 import math
 import pickle
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -32,11 +33,17 @@ def test_zeta_oracle_domain():
     (lambda: zeta_oracle(math.nan), "zeta_oracle needs a finite s >= 2, got nan"),
     (lambda: zeta_oracle(math.inf), "zeta_oracle needs a finite s >= 2, got inf"),
     (lambda: zeta_oracle("3"), "zeta_oracle needs a finite s >= 2, got '3'"),
+    (lambda: zeta_oracle(3j), r"zeta_oracle needs a finite s >= 2, got 3j"),
     (lambda: tail_power_sum(math.nan, 3), "tail_power_sum needs a finite p >= 2, got nan"),
-], ids=["zeta-nan", "zeta-inf", "zeta-str", "tail-nan"])
+], ids=["zeta-nan", "zeta-inf", "zeta-str", "zeta-complex", "tail-nan"])
 def test_non_finite_or_non_numeric_exponent_is_a_domain_error(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+def test_a_real_exponent_of_any_numeric_type_is_valid():
+    assert zeta_oracle(Fraction(5, 2)) == zeta_oracle(2.5)
+    assert tail_power_sum(Fraction(5, 2), 3) == tail_power_sum(2.5, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 6, 9, 15])

@@ -182,19 +182,6 @@ def test_inner_sums_past_the_double_range_are_the_signed_zeros_they_round_to():
         assert inner_double_sum(n).hex() == summed.hex() == zero.hex()
 
 
-def test_beta_terms_past_the_double_range_are_the_signed_zeros_they_round_to():
-    # From n = 1053 the term returns its signed zero without forming the
-    # binomial quotient; every n keeps the bits of the quotient itself.
-    for n in range(1040, 1201):
-        m = n // 2
-        if n % 2:
-            quotient = math.pi * (3 * math.comb(2 * m, m) / (16 ** m * n * n))
-        else:
-            quotient = -3 / ((n - 1) * math.comb(n - 2, m - 1) * n * n)
-        assert beta_series_term(n).hex() == quotient.hex(), n
-        assert (quotient == 0.0) is (n >= 1053), n
-
-
 def test_beta_sum_past_the_double_range_keeps_its_bits():
     long = zeta3_series("beta", PrecisionConfig(max_terms=3000, method="none"))
     short = zeta3_series("beta", PrecisionConfig(max_terms=1000, method="none"))
