@@ -80,8 +80,12 @@ class PrecisionConfig(namedtuple("PrecisionConfig",
     def __new__(cls, max_terms: int = 64, target_abs_error: float = 1e-12,
                 method: str = "cvz", trace_enabled: bool = True):
         _check_index("max_terms", max_terms, 1)
-        if target_abs_error <= 0:
-            raise DomainError("target_abs_error must be > 0")
+        try:
+            positive = target_abs_error > 0
+        except TypeError:  # a string
+            positive = False
+        if not positive:  # also nan
+            raise DomainError(f"target_abs_error must be > 0, got {target_abs_error!r}")
         _method(method)
         return tuple.__new__(cls, (max_terms, target_abs_error, method, trace_enabled))
 
@@ -157,6 +161,16 @@ def euler_average(terms):
     m' <= 2m.  The mean moves only where the full and the windowed exact
     sums round apart, which needs a mean within a few u max|S_k| of zero.
 
+    The mean's products go to math.fsum from the middle of the window
+    outward (the cached `outward` weights; the window's left half is
+    reversed in place once the bound has read it).  fsum (Shewchuk,
+    Discrete Comput. Geom. 18, 1997) walks its whole list of partials per
+    input, and falling products keep that list short where rising ones
+    grow it.  Its sum is correctly rounded in any order, as no partial can
+    leave the double range: the products fl(w_k DBL_MAX) of each window
+    add up to at most DBL_MAX (checked for every N up to 4100).  The plain
+    sums keep their natural order, as their bits depend on it.
+
     Rounding is bounded a posteriori (Higham, Accuracy and Stability, 2nd
     ed., (2.5) and section 4.2): each rounding to nearest is within u of
     its result, plus 2^-1075 where it underflows.  With A = sum_i |S'_i|
@@ -190,12 +204,14 @@ def euler_average(terms):
     if n == 1:
         return terms[0], abs(terms[0])
     sums = list(accumulate(terms))
-    lo, weights, z = _binomial_weights(n - 1)
+    lo, weights, z, outward = _binomial_weights(n - 1)
     window = sums[lo:n - lo] if lo else sums  # no copy while the window holds every sum
-    last = math.fsum(map(operator.mul, weights, window))
     bound = sum(map(operator.mul, z, map(abs, window)))
     if lo:
         bound += z[0] * sum(map(abs, sums[:lo])) + z[-1] * sum(map(abs, sums[n - lo:]))
+    mid = len(window) // 2
+    window[:mid] = window[mid - 1::-1]  # the sums in the order of `outward`
+    last = math.fsum(map(operator.mul, outward, window))
     lo, weights = _binomial_weights(n - 2)[:2]
     step = sum(map(operator.mul, weights, terms[lo + 1:]))
     return last, abs(step) / 2.0 + 5.0 * _U * abs(last) + bound + _TINY * (2 * n + 1)
@@ -203,11 +219,14 @@ def euler_average(terms):
 
 @lru_cache(maxsize=None)
 def _binomial_weights(n):
-    """(lo, weights, z): the weights C(n,k) / 2^n >= 2^-_CUT, k = lo ..
-    n - lo, each rounded once from exact integers, and the coefficient z_k
-    of each in the rounding bound of a mean of n + 1 sums, which takes in a
-    bound m on the mass of the 2 lo weights left out (see euler_average).
-    Tuples, since the cache hands the same objects to every caller."""
+    """(lo, weights, z, outward): the weights C(n,k) / 2^n >= 2^-_CUT,
+    k = lo .. n - lo, each rounded once from exact integers, the
+    coefficient z_k of each in the rounding bound of a mean of n + 1 sums,
+    which takes in a bound m on the mass of the 2 lo weights left out, and
+    the same weights from the middle out, weights[mid-1] down to weights[0]
+    and then weights[mid] on, mid = len(weights) // 2: the order in which
+    euler_average feeds its mean to fsum.  Tuples, since the cache hands the
+    same objects to every caller; `outward` shares the float objects."""
     floor = 1 << max(n - _CUT, 0)
     lo = bisect_left(range(n // 2 + 1), floor, key=partial(math.comb, n))
     scale = 1 << n
@@ -221,7 +240,8 @@ def _binomial_weights(n):
     least = 6.0 * mass + _TINY  # 2m for the mean's window, 2m' <= 4m for the step's
     tails = accumulate(reversed(weights))
     z = [2.0 * _U * t + 9.0 * _U * w + least for t, w in zip(tails, reversed(weights))]
-    return lo, tuple(weights), tuple(z[::-1])
+    mid = len(weights) // 2
+    return lo, tuple(weights), tuple(z[::-1]), tuple(weights[:mid][::-1] + weights[mid:])
 
 
 @lru_cache(maxsize=None)
@@ -275,9 +295,10 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
     A series whose first term or sum is complex is summed as two real
     series, its real and imaginary parts, with value complex(re, im) and
     estimate hypot(re_est, im_est); one with no imaginary part sums as real.
-    A term that is not finite raises DomainError, and a value or estimate
-    that leaves the double range raises OverflowError; the terms are only
-    looked at once the sum has failed.  A list or tuple of floats is not copied.
+    A term that is not a number or not finite raises DomainError, and a
+    value or estimate that leaves the double range raises OverflowError;
+    the terms are only looked at once the sum has failed.  A list or tuple
+    of floats is not copied.
     """
     method = _method(method)
     if type(terms) is not list and type(terms) is not tuple:
@@ -285,10 +306,13 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
     n = len(terms)
     if not n:
         raise DomainError("empty term list")
-    kind = complex if type(terms[0]) is complex else type(sum(terms))
-    if kind is not complex and kind is not float:
-        terms = list(map(float, terms))
-    imag = [t.imag for t in terms] if kind is complex else ()
+    try:
+        kind = complex if type(terms[0]) is complex else type(sum(terms))
+        if kind is not complex and kind is not float:
+            terms = list(map(float, terms))
+        imag = [t.imag for t in terms] if kind is complex else ()
+    except (TypeError, AttributeError) as exc:  # a term with no + or no .imag
+        raise _not_numbers(terms, exc) from None
     failure = None
     try:
         if method is AccelerationMethod.NO_ACCELERATION:
@@ -312,6 +336,16 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
             raise DomainError(f"term {k} is {t}: terms must be finite")
     raise failure or OverflowError(f"sum_alternating: the {method.value} sum of {n} "
                                    "terms or its estimate exceeds double range")
+
+
+def _not_numbers(terms, exc):
+    """The DomainError for `terms` that do not add up as numbers, naming the
+    first term that is not a real or complex number."""
+    import numbers  # only on this error path
+    for k, t in enumerate(terms, 1):
+        if not isinstance(t, numbers.Number):
+            return DomainError(f"term {k} is {t!r}: terms must be real or complex numbers")
+    return DomainError(f"the terms do not add up as numbers: {exc}")
 
 
 def _sum_real(terms, method):

@@ -40,6 +40,18 @@ def gamma_pair(a: complex, z: complex) -> complex:
     return exp_log(log_gamma(a + z) + log_gamma(a - z))
 
 
+def _finite_pair(a, z):
+    """(float(a), complex(z)), or DomainError unless both are finite numbers."""
+    try:
+        a, z = float(a), complex(z)
+    except (TypeError, ValueError):  # not a number, a malformed string
+        pass
+    else:
+        if math.isfinite(a) and cmath.isfinite(z):
+            return a, z
+    raise DomainError(f"need finite a and z, got a = {a!r}, z = {z!r}")
+
+
 def _sum_own_terms(terms, method):
     """sum_alternating of terms built here from finite inputs, where a term
     that is not finite can only be an overflow (a product past the double
@@ -76,10 +88,7 @@ def modulus_product(a: float, z: complex, n_factors: int) -> complex:
     """Truncated product for Gamma(a+z)Gamma(a-z)/Gamma(a)^2 with a
     first-order tail correction exp(z^2 * psi'(a + N))."""
     _check_index("n_factors", n_factors, 1)
-    a = float(a)
-    z = complex(z)
-    if not (math.isfinite(a) and cmath.isfinite(z)):
-        raise DomainError(f"need finite a and z, got a = {a}, z = {z}")
+    a, z = _finite_pair(a, z)
     if a + n_factors <= 0:  # the tail needs psi'(a + N)
         raise DomainError(f"need a + n_factors > 0, got a = {a}, n_factors = {n_factors}")
     z2 = z * z
@@ -122,10 +131,7 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     within about 1e-14 relative of their exact values up to N = 1024.
     """
     method = _method(method)
-    a = float(a)
-    z = complex(z)
-    if not (math.isfinite(a) and cmath.isfinite(z)):
-        raise DomainError(f"need finite a and z, got a = {a}, z = {z}")
+    a, z = _finite_pair(a, z)
     if a == round(a) and a <= 0:
         raise PoleError(f"Gamma(a)^2 pole at a = {a}")
     if a < 0 and 2.0 * a == round(2.0 * a):
@@ -174,8 +180,12 @@ def inverse_square_series(q: float, n_terms: int,
     and `accel.log_hypergeometric` the rest.
     """
     method = _method(method)
-    if not math.isfinite(q):
-        raise DomainError(f"need finite q, got q = {q}")
+    try:
+        finite = math.isfinite(q)
+    except TypeError:  # not a real number
+        finite = False
+    if not finite:
+        raise DomainError(f"need finite q, got q = {q!r}")
     if q <= -1:
         raise DomainError(f"need q > -1, got {q}")
     _check_index("n_terms", n_terms, 1)

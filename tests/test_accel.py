@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import accumulate
@@ -222,20 +223,35 @@ def _exact_means(terms):
     return Fraction(given, scale), Fraction(exact, scale)
 
 
+def _euler_natural(terms):
+    """(last, step, bound) as euler_average forms them, but with the mean's
+    products fed to fsum in natural order, the form before the outward
+    order: the reference whose value and estimate it keeps bit for bit."""
+    n = len(terms)
+    sums = list(accumulate(terms))
+    lo, weights, z, _ = _binomial_weights(n - 1)
+    window = sums[lo:n - lo]
+    last = math.fsum(map(operator.mul, weights, window))
+    bound = sum(map(operator.mul, z, map(abs, window)))
+    if lo:
+        bound += z[0] * sum(map(abs, sums[:lo])) + z[-1] * sum(map(abs, sums[n - lo:]))
+    lo, weights = _binomial_weights(n - 2)[:2]
+    step = sum(map(operator.mul, weights, terms[lo + 1:]))
+    return last, step, bound
+
+
+def _estimate(n, last, step, bound):
+    """Euler's estimate from its parts, in euler_average's order of evaluation."""
+    return abs(step) / 2.0 + 5.0 * 2.0 ** -53 * abs(last) + bound + 2.0 ** -1074 * (2 * n + 1)
+
+
 def _rounding_part(terms, value, est):
     """The part of the estimate beyond |last - prev|, 5u |last| +
     sum_i z_i |S'_i| + 2^-1074 (2N + 1), as an exact Fraction, checked to
     make up `est` in euler_average's own order of evaluation."""
     u, tiny, n = 2.0 ** -53, 2.0 ** -1074, len(terms)
-    sums = list(accumulate(terms))
-    lo, _, z = _binomial_weights(n - 1)
-    window = sums[lo:n - lo]
-    bound = sum(map(operator.mul, z, map(abs, window)))
-    if lo:
-        bound += z[0] * sum(map(abs, sums[:lo])) + z[-1] * sum(map(abs, sums[n - lo:]))
-    lo, weights, _ = _binomial_weights(n - 2)
-    step = sum(map(operator.mul, weights, terms[lo + 1:]))
-    assert est == abs(step) / 2.0 + 5.0 * u * abs(value) + bound + tiny * (2 * n + 1)
+    _, step, bound = _euler_natural(terms)
+    assert est == _estimate(n, value, step, bound)
     return Fraction(5.0 * u * abs(value)) + Fraction(bound) + Fraction(tiny) * (2 * n + 1)
 
 
@@ -253,7 +269,7 @@ def _euler_split(terms):
     here as the reference the estimate must not fall below."""
     u, tiny, n = 2.0 ** -53, 2.0 ** -1074, len(terms)
     sums = list(accumulate(terms))
-    lo, weights, _ = _binomial_weights(n - 1)
+    lo, weights = _binomial_weights(n - 1)[:2]
     mass = float(_left_out(n - 1))
     tails = tuple(accumulate(reversed(weights)))[::-1]
     products = list(map(operator.mul, weights, sums[lo:]))
@@ -263,7 +279,7 @@ def _euler_split(terms):
     drift = sum(map(operator.mul, tails, magnitudes[lo:]), tails[0] * sum(magnitudes[:lo]))
     rounding = (2.0 * u * (abs(mean) + 2.0 * sum(map(abs, products)) + drift)
                 + 2.0 * mass * total + tiny * (2 * n + 1 + total))
-    lo, weights, _ = _binomial_weights(n - 2)
+    lo, weights = _binomial_weights(n - 2)[:2]
     mass = float(_left_out(n - 2))
     steps = list(map(operator.mul, weights, terms[lo + 1:]))
     return mean, (abs(sum(steps)) / 2.0 + u * (3.0 * abs(mean) + 2.0 * sum(map(abs, steps)))
@@ -298,19 +314,36 @@ def test_euler_rounding_bound_holds_exactly(kind, n):
             assert abs(Fraction(value) - mean) <= rounding
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.integers(2, 1100), st.integers(0, 2 ** 32),
-       st.floats(-300.0, 300.0), st.floats(0.0, 300.0))
-def test_euler_rounding_part_bounds_the_exact_mean(n, seed, centre, spread):
-    # Mixed signs, and magnitudes anywhere in 1e-300 .. 1e300.
+def _mixed_terms(n, seed, centre, spread, special):
+    """n terms of mixed sign with magnitudes in 1e-300 .. 1e300, about a
+    share `special` of them subnormal or a signed zero."""
     rng = random.Random(seed)
-    terms = [rng.choice((-1.0, 1.0))
-             * 10.0 ** min(300.0, max(-300.0, centre + rng.uniform(-spread, spread)))
-             for _ in range(n)]
+    terms = []
+    for _ in range(n):
+        sign, kind = rng.choice((-1.0, 1.0)), rng.random()
+        if kind < special / 2:
+            terms.append(sign * rng.randint(1, 2 ** 52) * 5e-324)
+        elif kind < special:
+            terms.append(sign * 0.0)
+        else:
+            exponent = centre + rng.uniform(-spread, spread)
+            terms.append(sign * 10.0 ** min(300.0, max(-300.0, exponent)))
+    return terms
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, 1100), st.integers(0, 2 ** 32), st.floats(-300.0, 300.0),
+       st.floats(0.0, 300.0), st.floats(0.0, 1.0))
+def test_euler_rounding_part_bounds_the_exact_mean(n, seed, centre, spread, special):
+    # fsum rounds the exact sum of its inputs whatever their order, so
+    # feeding the mean's products from the middle out changes no bit of the
+    # value, nor (checked in _rounding_part) of the estimate, against the
+    # natural order; and the terms are left as they were.
+    terms = _mixed_terms(n, seed, centre, spread, special)
+    before = list(terms)
     value, est = euler_average(terms)
-    lo, weights, _ = _binomial_weights(n - 1)
-    products = map(operator.mul, weights, list(accumulate(terms))[lo:])
-    assert value.hex() == math.fsum(products).hex()
+    assert terms == before
+    assert value.hex() == _euler_natural(terms)[0].hex()
     rounding = _rounding_part(terms, value, est)
     for mean in _exact_means(terms):
         assert abs(Fraction(value) - mean) <= rounding
@@ -320,13 +353,68 @@ def test_binomial_weights_cache_returns_the_same_tuple_bits():
     grid = (0, 1, 2, 17, 256, 1100)
 
     def bits(n):
-        lo, weights, z = _binomial_weights(n)
-        return lo, [w.hex() for w in weights], [c.hex() for c in z]
+        lo, weights, z, outward = _binomial_weights(n)
+        return lo, [w.hex() for w in weights], [c.hex() for c in z], [w.hex() for w in outward]
 
     before = [bits(n) for n in grid]
-    assert all(type(_binomial_weights(n)[1]) is tuple for n in grid)
+    for n in grid:
+        _, weights, z, outward = _binomial_weights(n)
+        assert type(weights) is type(z) is type(outward) is tuple
+        # The weights from the middle out, in two runs of falling weight: a
+        # permutation of them that shares their float objects.
+        mid = len(weights) // 2
+        assert sorted(map(id, outward)) == sorted(map(id, weights))
+        for run in (outward[:mid], outward[mid:]):
+            assert list(run) == sorted(run, reverse=True)
+    assert _binomial_weights(1)[3] == (0.5, 0.5)  # N = 2, where mid is 1
+    assert _binomial_weights(0)[3] == (1.0,)
     _binomial_weights.cache_clear()
     assert [bits(n) for n in grid] == before
+
+
+def _outcome(euler, terms):
+    """The value and estimate of `euler` on `terms` in float hex, or the type
+    of the error it raises."""
+    try:
+        last, est = euler(terms)
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+    return last.hex(), est.hex()
+
+
+def _natural_outcome(terms):
+    """_outcome of the natural-order reference, _euler_natural."""
+    def euler(terms):
+        last, step, bound = _euler_natural(terms)
+        return last, _estimate(len(terms), last, step, bound)
+    return _outcome(euler, terms)
+
+
+_M = sys.float_info.max
+
+
+def _near_max_series(n):
+    yield "max", [_M] + [0.0] * (n - 1)
+    yield "-max", [-_M] + [0.0] * (n - 1)
+    yield "max-and-0", [_M * (-1.0) ** k for k in range(n)]  # sums M, 0, M, 0, ..
+    yield "max-0-minus-max", [_M, -_M, -_M, _M] * (n // 4) + [_M, -_M, -_M][:n % 4]
+    rng = random.Random(n)
+    # sums that creep down from DBL_MAX by 0 to 3 units in the last place a term
+    yield "just-below", [_M] + [-rng.randrange(4) * 2.0 ** 971 for _ in range(n - 1)]
+    yield "inf-later", [_M * 0.75] * n  # the sums reach inf from k = 1
+    yield "nan-later", ([_M, _M, -math.inf] + [1.0] * n)[:n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 64, 107, 108, 128, 1024, 1100])
+def test_euler_near_the_double_range_keeps_the_natural_outcome(n):
+    # The products of each window at DBL_MAX round to a sum of at most
+    # DBL_MAX, so no partial of fsum leaves the double range in any order
+    # while the sums are finite, and non-finite sums end fsum in a way that
+    # does not depend on the order.
+    weights = _binomial_weights(n - 1)[1]
+    assert sum(int(w * _M) for w in weights) <= int(_M)
+    for name, terms in _near_max_series(n):
+        assert _outcome(euler_average, terms) == _natural_outcome(terms), name
 
 
 def _euler_full(values):
@@ -406,7 +494,7 @@ def test_bound_coefficients_cover_the_parts_they_fold(n):
     # below and above the window.  The doubling of all but the step's parts
     # leaves room for the roundings of the cached floats.
     u = Fraction(1, 2 ** 53)
-    lo, weights, z = _binomial_weights(n)
+    lo, weights, z, _ = _binomial_weights(n)
     assert type(z) is tuple and len(z) == len(weights)
     assert _binomial_weights(n)[2] is z
     w = [Fraction(0)] * (n + 1)
@@ -414,7 +502,7 @@ def test_bound_coefficients_cover_the_parts_they_fold(n):
     tails = list(accumulate(reversed(w)))[::-1]
     step = [Fraction(0)] * (n + 1)  # w'_j, zero outside the step's window
     if n:
-        lo1, weights1, _ = _binomial_weights(n - 1)
+        lo1, weights1 = _binomial_weights(n - 1)[:2]
         step[lo1:n - lo1] = map(Fraction, weights1)
     least = ((1 + u) * _left_out(n) + 2 * (_left_out(n - 1) if n else 0)
              + Fraction(2.0 ** -1075))
@@ -426,7 +514,7 @@ def test_bound_coefficients_cover_the_parts_they_fold(n):
 
 def test_euler_window_holds_order_sqrt_n_weights():
     n = 4095
-    lo, weights, _ = _binomial_weights(n)
+    lo, weights = _binomial_weights(n)[:2]
     assert len(weights) == n + 1 - 2 * lo <= 12 * math.sqrt(n + 1)
     # the window is the weights >= u^2; those left out weigh a few u^2
     assert min(weights) >= 2.0 ** -106 > math.comb(n, lo - 1) / 2 ** n
@@ -530,6 +618,18 @@ def test_non_finite_sums_raise_typed_errors(terms, error, method):
         sum_alternating(terms, method)
     with pytest.raises(error, match=match):
         sum_alternating([complex(t, t / 2) for t in terms], method)
+
+
+@pytest.mark.parametrize("terms, method, index", [
+    (["a", "b"], "none", 1),
+    ([None, 1.0], "euler", 1),
+    ([1.0, "x"], "cvz", 2),
+    ([1j, "x"], "euler", 2),
+], ids=["strings", "none-first", "string-second", "complex-then-string"])
+def test_terms_that_are_not_numbers_raise_a_domain_error(terms, method, index):
+    message = f"term {index} is {terms[index - 1]!r}: terms must be real or complex numbers"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        sum_alternating(terms, method)
 
 
 def _log_hypergeometric_per_factor(start, factors, first, count):

@@ -84,6 +84,10 @@ def test_modulus_product_rejects_non_finite_input(a, z):
     (inverse_square_series, (0.5, 0, EULER), DomainError, "n_terms"),
     # the tail psi'(a + N) needs a + N > 0
     (modulus_product, (-1.0, 0.5, 1), DomainError, "n_factors > 0, got a = -1.0, n_factors = 1"),
+    (inverse_square_series, ("1", 16, EULER), DomainError, "need finite q, got q = '1'"),
+    (gamma_pfd_series, (1.0, "x", 16, EULER), DomainError,
+     "need finite a and z, got a = 1.0, z = 'x'"),
+    (modulus_product, (1.0, "x", 5), DomainError, "need finite a and z, got a = 1.0, z = 'x'"),
 ])
 def test_bad_input_raises_its_typed_error(fn, args, error, match):
     with pytest.raises(error, match=match):

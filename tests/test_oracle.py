@@ -109,6 +109,8 @@ def test_precision_config_is_an_immutable_tuple():
     ({"method": ["x"]}, r"unknown method \['x'\]"),
     ({"max_terms": 1.5}, "max_terms must be an integer, got 1.5"),
     ({"max_terms": 64.0}, "max_terms must be an integer, got 64.0"),
+    ({"target_abs_error": math.nan}, "target_abs_error must be > 0, got nan"),
+    ({"target_abs_error": "x"}, "target_abs_error must be > 0, got 'x'"),
 ])
 def test_precision_config_rejects_bad_settings(kwargs, message):
     with pytest.raises(DomainError, match=message):
