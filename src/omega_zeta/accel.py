@@ -311,8 +311,8 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
         if kind is not complex and kind is not float:
             terms = list(map(float, terms))
         imag = [t.imag for t in terms] if kind is complex else ()
-    except (TypeError, AttributeError) as exc:  # a term with no + or no .imag
-        raise _not_numbers(terms, exc) from None
+    except (TypeError, AttributeError, OverflowError) as exc:  # no +, no .imag, 10**400
+        raise _bad_term(terms, exc) from None
     failure = None
     try:
         if method is AccelerationMethod.NO_ACCELERATION:
@@ -327,25 +327,28 @@ def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceRepor
             value, est = complex(value, im), math.hypot(est, im_est)
         if cmath.isfinite(value) and math.isfinite(est):
             return ConvergenceReport(value, n, est, method)
-    except (OverflowError, ValueError):  # fsum past the double range or at
-        pass                             # inf - inf, abs of a huge complex
+    except (OverflowError, ValueError, TypeError):  # fsum past the double range or
+        pass  # at inf - inf, abs of a huge complex, a complex term's part not a float
     except SignPatternError as exc:  # a nan has no sign for CVZ to alternate
         failure = exc
-    for k, t in enumerate(terms, 1):
-        if not cmath.isfinite(t):
-            raise DomainError(f"term {k} is {t}: terms must be finite")
-    raise failure or OverflowError(f"sum_alternating: the {method.value} sum of {n} "
-                                   "terms or its estimate exceeds double range")
+    raise _bad_term(terms) or failure or OverflowError(
+        f"sum_alternating: the {method.value} sum of {n} terms or its estimate "
+        "exceeds double range")
 
 
-def _not_numbers(terms, exc):
-    """The DomainError for `terms` that do not add up as numbers, naming the
-    first term that is not a real or complex number."""
-    import numbers  # only on this error path
+def _bad_term(terms, exc=None):
+    """The DomainError naming the first term that is not a finite real or complex
+    number; else, given the `exc` that the terms raised, one quoting it; else None."""
+    import numbers  # only on the error paths
     for k, t in enumerate(terms, 1):
-        if not isinstance(t, numbers.Number):
+        if not isinstance(t, numbers.Complex):  # nor is a Decimal
             return DomainError(f"term {k} is {t!r}: terms must be real or complex numbers")
-    return DomainError(f"the terms do not add up as numbers: {exc}")
+        try:
+            if not cmath.isfinite(t):
+                return DomainError(f"term {k} is {t}: terms must be finite")
+        except OverflowError:  # an int or a Fraction past the double range
+            return DomainError(f"term {k} is past the double range: terms must be finite")
+    return exc and DomainError(f"the terms do not add up as numbers: {exc}")
 
 
 def _sum_real(terms, method):

@@ -21,7 +21,7 @@ from itertools import cycle
 from .accel import (AccelerationMethod, ConvergenceReport, _method, log_hypergeometric,
                     sum_alternating)
 from .errors import DomainError, PoleError, _check_index
-from .special import exp_log, log_gamma, trigamma
+from .special import _log_power_tail, exp_log, log_gamma
 
 __all__ = [
     "gamma_pair",
@@ -41,14 +41,15 @@ def gamma_pair(a: complex, z: complex) -> complex:
 
 
 def _finite_pair(a, z):
-    """(float(a), complex(z)), or DomainError unless both are finite numbers."""
-    try:
-        a, z = float(a), complex(z)
-    except (TypeError, ValueError):  # not a number, a malformed string
-        pass
-    else:
-        if math.isfinite(a) and cmath.isfinite(z):
-            return a, z
+    """(float(a), complex(z)), or DomainError unless both are finite numbers (not strings)."""
+    if not isinstance(a, (str, bytes)) and not isinstance(z, (str, bytes)):
+        try:
+            a, z = float(a), complex(z)
+        except (TypeError, ValueError):  # not a number
+            pass
+        else:
+            if math.isfinite(a) and cmath.isfinite(z):
+                return a, z
     raise DomainError(f"need finite a and z, got a = {a!r}, z = {z!r}")
 
 
@@ -85,12 +86,10 @@ def _within_double_range(series):
 
 @_within_double_range
 def modulus_product(a: float, z: complex, n_factors: int) -> complex:
-    """Truncated product for Gamma(a+z)Gamma(a-z)/Gamma(a)^2 with a
-    first-order tail correction exp(z^2 * psi'(a + N))."""
+    """Truncated product for Gamma(a+z)Gamma(a-z)/Gamma(a)^2 with its full
+    tail sum_j z^(2j)/j * zeta(2j, a + N), which needs |z| < a + N."""
     _check_index("n_factors", n_factors, 1)
     a, z = _finite_pair(a, z)
-    if a + n_factors <= 0:  # the tail needs psi'(a + N)
-        raise DomainError(f"need a + n_factors > 0, got a = {a}, n_factors = {n_factors}")
     z2 = z * z
     log_prod = 0j
     for k in range(1, n_factors + 1):
@@ -99,8 +98,9 @@ def modulus_product(a: float, z: complex, n_factors: int) -> complex:
         if abs(factor) <= _POLE_DIST:
             raise PoleError(f"z = {z} hits pole at a-1+{k}")
         log_prod -= cmath.log(factor)
-    tail = z2 * trigamma(a + n_factors)
-    return cmath.exp(log_prod + tail)
+    if not abs(z) < a + n_factors:
+        raise DomainError(f"need |z| < a + n_factors = {a + n_factors:.6g}, got |z| = {abs(z):.4g}")
+    return cmath.exp(_log_power_tail(z, 2, a + n_factors, log_prod))
 
 
 @_within_double_range

@@ -1,5 +1,6 @@
 """Complex special functions: log-gamma, gamma, trigamma, roots of
-unity, and log-space trigonometric/hyperbolic helpers.
+unity, log-space trigonometric/hyperbolic helpers, and the one Hurwitz
+sum behind trigamma, the oracle and the truncated products' tails.
 
 Everything works in double precision.  Products of gamma values whose
 magnitudes exceed the floating-point range are formed as sums of plain
@@ -113,30 +114,70 @@ def gamma(z: complex) -> complex:
     return exp_log(log_gamma(z))
 
 
-# B_2 .. B_12 in double precision, for trigamma's asymptotic series and
-# the oracle's Euler-Maclaurin corrections.
+# B_2 .. B_12 in double precision, for the Euler-Maclaurin corrections of
+# `_hurwitz`.
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
               5.0 / 66.0, -691.0 / 2730.0)
 
 
+def _hurwitz(p: float, x: float) -> float:
+    """zeta(p, x) = sum_{k>=0} (x+k)^-p for p >= 2, x > 0, by Euler-Maclaurin: the
+    terms up to the first x + k = n >= 20 with n >= 3p + 10, where six corrections
+    reach double precision (at n = 20, p = 30 they are 7e-8 off), then those at n;
+    or the terms until one is below 1e-18 of the sum (the rest is below 18 times it)."""
+    n_head = max(0, math.ceil(max(21.0, 3.0 * p + 11.0) - x))
+    total = 0.0
+    for k in range(n_head):
+        term = (x + k) ** (-float(p))  # x + k, not y += 1: that rounds x away
+        if term <= 1e-18 * total:  # also where the terms underflow to 0
+            return total
+        total += term
+    n = x + n_head - 1
+    total += n ** (1.0 - p) / (p - 1.0) - 0.5 * n ** (-float(p))
+    rising = float(p)  # rising factorial p(p+1)...(p+2j-2)
+    fact = 2.0         # (2j)!
+    for j, b2j in enumerate(_BERNOULLI, start=1):
+        total += b2j / fact * rising * n ** (1.0 - p - 2 * j)
+        # extend rising to 2(j+1)-1 factors, fact to (2j+2)!
+        rising *= (p + 2 * j - 1) * (p + 2 * j)
+        fact *= (2 * j + 1) * (2 * j + 2)
+    return total
+
+
+def _log_power_tail(x: complex, m: int, y: float, total: complex) -> complex:
+    """total + sum_{j>=1} x^(mj)/j * zeta(mj, y), a logarithm of the tail
+    prod_{k>=0} 1/(1 - (x/(y+k))^m) of a truncated product, for |x| < y;
+    DomainError where it cannot reach double precision in 400 powers."""
+    if not x:
+        return total
+    if y < 1.0:  # zeta(p, y) > y^-p would leave the double range
+        total -= cmath.log(1.0 - (x / y) ** m)
+        y += 1.0
+    log_x = cmath.log(x)
+    for j in range(1, 400):
+        p = m * j
+        power_sum = _hurwitz(p, y)
+        if power_sum < 1e-300:
+            # Near underflow the power sum loses its digits: stop only where its
+            # bound y^-p (1 + y/(p-1)) times |x|^p is negligible (later ones are less).
+            if p * (log_x.real - math.log(y)) + math.log1p(y / (p - 1)) < math.log(1e-17):
+                return total
+            break
+        term = exp_log(p * log_x + math.log(power_sum)) / j
+        total += term
+        if abs(term) < 1e-17:
+            return total
+    raise DomainError(f"the tail sum_j z^(mj)/j zeta(mj, {y:.6g}) does not converge "
+                      f"in 400 powers at |z| = {abs(x):.4g}")
+
+
 def trigamma(x: float) -> float:
-    """psi'(x) = sum_{k>=0} 1/(x+k)^2 for real x > 0."""
+    """psi'(x) = zeta(2, x) = sum_{k>=0} 1/(x+k)^2 for real x > 0."""
     if not 0 < x < math.inf:
         raise DomainError(f"trigamma needs finite x > 0, got {x}")
     if x * x == 0.0 or 1.0 / (x * x) == math.inf:  # psi'(x) > 1/x^2, the rest < 2
         raise OverflowError(f"trigamma({x!r}): psi'(x) exceeds double range")
-    acc = 0.0
-    while x < 10.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    s = inv + 0.5 * inv2
-    p = inv * inv2
-    for b in _BERNOULLI:
-        s += b * p
-        p *= inv2
-    return acc + s
+    return _hurwitz(2.0, x)
 
 
 def log_sin(z: complex) -> complex:

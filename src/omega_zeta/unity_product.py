@@ -7,12 +7,13 @@ and the rearranged partial-fraction series.  The coefficients are plain
 floats: the gamma closed form (`series_coefficient`) sums only the real
 parts of its log-gammas and takes the sign (-1)^n from the formula.
 
-One truncated product, `_log_truncated_product`, with the full tail
-sum_k x^(mk)/k sum_{s>N} s^(-mk), serves the `TruncatedProduct` route and
-the residue lambda_n = -(1/m) prod_{s != n} 1/(1 - (n/s)^m) of
-`product_coefficient`.  `ExpZetaSeries` is that tail at N = 0, but keeps
-its own sum from `zeta_oracle`, so it shares no code with the route it
-checks.
+One truncated product, `_log_truncated_product`, serves the
+`TruncatedProduct` route and the residue lambda_n = -(1/m) prod_{s != n}
+1/(1 - (n/s)^m) of `product_coefficient`; its tail sum_k x^(mk)/k
+zeta(mk, N + 1) is `special._log_power_tail`, as `modulus_product`'s is.
+`ExpZetaSeries` is that tail at N = 0 but keeps its own loop over
+`zeta_oracle`: the routes share only the Hurwitz sum, which `verify`
+checks against closed forms.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from .accel import AccelerationMethod, ConvergenceReport
 from .errors import DomainError, PoleError, _check_index
 from .oracle import tail_power_sum, zeta_oracle
-from .special import exp_log, log_gamma, roots_of_unity
+from .special import _log_power_tail, exp_log, log_gamma, roots_of_unity
 
 __all__ = [
     "TruncatedProduct",
@@ -87,24 +88,7 @@ def _log_truncated_product(m: int, x: complex, n_factors: int,
         head -= cmath.log(1.0 - (x / s) ** m)
     for s in range(max(n_over, skip) + 1, n_factors + 1):
         log_prod -= cmath.log(1.0 - (x / s) ** m)
-    log_x = cmath.log(x)
-    for k in range(1, 400):
-        p = m * k
-        power_sum = tail_power_sum(p, n_factors)
-        if power_sum < 1e-300:
-            # Near underflow the power sum loses its digits.  It is below
-            # (N+1)^-p (1 + (N+1)/(p-1)) and later terms are smaller still,
-            # so stop only where that bound times |x|^p is negligible.
-            if (p * (log_x.real - math.log(n_factors + 1))
-                    + math.log1p((n_factors + 1) / (p - 1)) < math.log(1e-17)):
-                return log_prod + head
-            break
-        term = exp_log(p * log_x + math.log(power_sum)) / k
-        log_prod += term
-        if abs(term) < 1e-17:
-            return log_prod + head
-    raise DomainError(f"the tail of a product of {n_factors} factors does not "
-                      f"converge at |z| = {abs(x):.4g}")
+    return _log_power_tail(x, m, n_factors + 1.0, log_prod) + head
 
 
 def unity_gamma_product(m: int, z: complex, route) -> complex:

@@ -250,7 +250,7 @@ def _suite_gamma():
             z = frac * a
             ref = gamma_pair(a, z) / gamma(a) ** 2
             worst = max(worst, abs(modulus_product(a, z, 1000) - ref) / abs(ref))
-    _check(res, "gamma", "product form of the gamma pair", worst, 1e-8)
+    _check(res, "gamma", "product form of the gamma pair", worst, 1e-14)
     worst = 0.0
     for q in (0.0, 0.5, 1.0, 2.5):
         rep = inverse_square_series(q, 64, AccelerationMethod.EULER_TRANSFORM)

@@ -3,6 +3,7 @@ import operator
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 
@@ -628,6 +629,22 @@ def test_non_finite_sums_raise_typed_errors(terms, error, method):
 ], ids=["strings", "none-first", "string-second", "complex-then-string"])
 def test_terms_that_are_not_numbers_raise_a_domain_error(terms, method, index):
     message = f"term {index} is {terms[index - 1]!r}: terms must be real or complex numbers"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        sum_alternating(terms, method)
+
+
+@pytest.mark.parametrize("method", ["none", "euler", "cvz"])
+@pytest.mark.parametrize("terms, message", [
+    # a complex series' real parts [0.0, Decimal(1)] do not add
+    ([1j, Decimal(1)], "term 2 is Decimal('1'): terms must be real or complex numbers"),
+    ([Decimal(1), 1.0], "term 1 is Decimal('1'): terms must be real or complex numbers"),
+    ([10 ** 400, 1], "term 1 is past the double range: terms must be finite"),
+    ([1.0, -10 ** 400], "term 2 is past the double range: terms must be finite"),
+    ([1j, 10 ** 400], "term 2 is past the double range: terms must be finite"),
+    ([Fraction(10 ** 400), 1], "term 1 is past the double range: terms must be finite"),
+], ids=["complex-decimal", "decimal-float", "huge-int", "huge-int-second",
+        "complex-huge-int", "huge-fraction"])
+def test_numbers_that_do_not_sum_as_doubles_raise_a_domain_error(terms, message, method):
     with pytest.raises(DomainError, match=re.escape(message)):
         sum_alternating(terms, method)
 

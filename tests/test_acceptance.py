@@ -190,9 +190,9 @@ def test_criterion_09_modulus_product():
         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
             for z in (frac * a, frac * a * 1j):
                 ref = gamma_pair(a, z) / gamma(a) ** 2
-                ok &= abs(modulus_product(a, z, 1000) - ref) < 1e-8 * abs(ref)
+                ok &= abs(modulus_product(a, z, 1000) - ref) < 1e-14 * abs(ref)
     _report(9, "squared-modulus product matches the gamma-pair ratio at "
-               "1e-8 relative", ok)
+               "1e-14 relative", ok)
 
 
 def test_criterion_10_zeta3_variants():

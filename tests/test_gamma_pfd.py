@@ -44,10 +44,10 @@ def test_unknown_method_is_a_domain_error_before_any_term(monkeypatch):
 
 
 def test_modulus_product_cases():
-    assert abs(modulus_product(1.0, 0.5, 1000) - math.pi / 2) < 1e-8
+    assert abs(modulus_product(1.0, 0.5, 1000) - math.pi / 2) < 1e-14
     assert modulus_product(2.0, 0.0, 1) == 1.0
     ref = gamma_pair(2.5, 0.7j) / gamma(2.5) ** 2
-    assert abs(modulus_product(2.5, 0.7j, 1000) - ref) < 1e-8 * abs(ref)
+    assert abs(modulus_product(2.5, 0.7j, 1000) - ref) < 1e-14 * abs(ref)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
@@ -55,13 +55,52 @@ def test_modulus_product_agreement_grid(a):
     for frac in (0.1, 0.5, 0.9):
         z = frac * a
         ref = gamma_pair(a, z) / gamma(a) ** 2
-        assert abs(modulus_product(a, z, 1000) - ref) < 1e-8 * abs(ref)
+        assert abs(modulus_product(a, z, 1000) - ref) < 1e-14 * abs(ref)
+
+
+def _gamma_pair_ratio(a, z):
+    return mp.gamma(a + mp.mpc(z)) * mp.gamma(a - mp.mpc(z)) / mp.gamma(a) ** 2
+
+
+@pytest.mark.parametrize("n_factors", [1, 10, 50, 1000])
+def test_modulus_product_full_tail_vs_multiprecision(n_factors):
+    # The whole tail sum_j z^(2j)/j zeta(2j, a + N): as accurate with 10
+    # factors as with 1000, where z^2 psi'(a + N) alone was 2.5e-3 off at
+    # (2.5, 2.25, 10).  At (12, 11, 1) the power sums at a + N = 13 need
+    # more than 20 terms before Euler-Maclaurin.  At N = 1000 the factors'
+    # 1000 logarithms of (12, 11), which add up to 13.5, carry 1e-14 of
+    # rounding of their own.
+    cases = [(a, frac * a * unit) for a in (0.5, 1.0, 2.5)
+             for frac in (0.2, 0.6, 0.9) for unit in (1, 1j)]
+    cases += [(1.3, 0.5 + 0.7j)] + [(12.0, 11.0)] * (n_factors <= 50)
+    for a, z in cases:
+        if abs(z) < a + n_factors:
+            ref = _gamma_pair_ratio(a, z)
+            assert abs(modulus_product(a, z, n_factors) - ref) <= 1e-14 * abs(ref)
+
+
+def test_modulus_product_tail_from_below_one():
+    # a + N = 0.01: zeta(2j, 0.01) > 100^(2j) would leave the double range
+    # from j = 77, so the tail takes its first factor apart.
+    ref = _gamma_pair_ratio(-0.99, 0.008)
+    assert abs(modulus_product(-0.99, 0.008, 1) - ref) <= 1e-14 * abs(ref)
 
 
 def test_modulus_product_past_double_range_overflows_readably():
-    # The tail z^2 psi'(a + N) is about 9.5e4 here, far past exp's range.
+    # Gamma(1199.5) Gamma(0.5) / Gamma(600)^2 is about 6e360, past exp's range.
     with pytest.raises(OverflowError, match="exceeds double range"):
-        modulus_product(1.0, 1000.0, 10)
+        modulus_product(600.0, 599.5, 1000)
+
+
+@pytest.mark.parametrize("a, z, n_factors, match", [
+    # z = 1000 is a pole of Gamma(a - z), and the tail needs |z| < a + N
+    (1.0, 1000.0, 10, r"need \|z\| < a \+ n_factors = 11, got \|z\| = 1000"),
+    # |z| / (a + N) = 0.98: the tail is still at 1e-6 after 400 powers
+    (600.0, 599.5, 10, "does not converge in 400 powers"),
+])
+def test_modulus_product_tail_outside_its_range_is_a_domain_error(a, z, n_factors, match):
+    with pytest.raises(DomainError, match=match):
+        modulus_product(a, z, n_factors)
 
 
 @pytest.mark.parametrize("a,z", [(math.nan, 0.3), (math.inf, 0.3),
@@ -82,12 +121,20 @@ def test_modulus_product_rejects_non_finite_input(a, z):
     (gamma_pfd_series, (1.5, 0.3, 0, EULER), DomainError, "n_terms"),
     (inverse_square_series, (-1.0, 16, EULER), DomainError, "q > -1"),
     (inverse_square_series, (0.5, 0, EULER), DomainError, "n_terms"),
-    # the tail psi'(a + N) needs a + N > 0
-    (modulus_product, (-1.0, 0.5, 1), DomainError, "n_factors > 0, got a = -1.0, n_factors = 1"),
+    # the tail zeta(2j, a + N) needs |z| < a + N
+    (modulus_product, (-1.0, 0.5, 1), DomainError, r"n_factors = 0, got \|z\| = 0.5"),
     (inverse_square_series, ("1", 16, EULER), DomainError, "need finite q, got q = '1'"),
     (gamma_pfd_series, (1.0, "x", 16, EULER), DomainError,
      "need finite a and z, got a = 1.0, z = 'x'"),
     (modulus_product, (1.0, "x", 5), DomainError, "need finite a and z, got a = 1.0, z = 'x'"),
+    # a numeric string is not a number either
+    (gamma_pfd_series, ("1.5", 0.3, 16, EULER), DomainError,
+     "need finite a and z, got a = '1.5', z = 0.3"),
+    (gamma_pfd_series, (1.5, "0.3", 16, EULER), DomainError,
+     "need finite a and z, got a = 1.5, z = '0.3'"),
+    (modulus_product, ("1.0", "0.5", 10), DomainError,
+     "need finite a and z, got a = '1.0', z = '0.5'"),
+    (modulus_product, (b"1.0", 0.5, 10), DomainError, "need finite a and z, got a = b'1.0'"),
 ])
 def test_bad_input_raises_its_typed_error(fn, args, error, match):
     with pytest.raises(error, match=match):
