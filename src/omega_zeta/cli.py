@@ -2,7 +2,8 @@
 
 Subcommands: zeta, phi, gamma-pfd, zeta3, converge, verify.  Output is
 JSON by default (one record per line) with the converge table in CSV.
-Exit codes: 0 success, 2 divergence detected, 3 domain/parse error.
+Exit codes: 0 success, 1 a verify check failed, 2 divergence detected,
+3 domain/parse error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .zeta3 import Zeta3Variant, zeta3_series
 from .zeta_series import zeta_term, zeta_via_series
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_DIVERGENCE = 2
 EXIT_DOMAIN = 3
 
@@ -161,7 +163,7 @@ def _cmd_verify(args) -> int:
         print(line)
         failed += not r.passed
     print(f"{len(results) - failed}/{len(results)} checks passed")
-    return EXIT_OK if failed == 0 else 1
+    return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
 class _Parser(argparse.ArgumentParser):

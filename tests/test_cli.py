@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -380,3 +381,20 @@ def test_every_library_error_exits_with_the_domain_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_zeta", handler)
     assert cli.main(["zeta", "3"]) == cli.EXIT_DOMAIN
     assert capsys.readouterr().err == "error: raised by a handler\n"
+
+
+def test_a_failed_verify_check_prints_its_margin_and_exits_one(monkeypatch, capsys):
+    from omega_zeta import cli, verify
+
+    original = verify.zeta_via_series
+
+    def perturbed(m, config=None):
+        rep = original(m, config)
+        return rep._replace(value=rep.value * (1 + 1e-12))
+
+    monkeypatch.setattr(verify, "zeta_via_series", perturbed)
+    assert cli.main(["verify", "--suite", "zeta"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"FAIL zeta: series reproduces zeta\(2\.\.6\) "
+                        r"\(worst \S+ vs bound 2e-14\)", lines[2])
+    assert lines[-1] == "5/6 checks passed"
