@@ -104,24 +104,29 @@ def log_hypergeometric(start: float, factors, first: int, count: int) -> list[fl
     e*log1p(c/(k+d)), or, where c/(k + d) < -1/2 and log1p would magnify
     the rounding of its argument, e*log|(k + d + c)/(k + d)| as one
     quotient.  That needs k + d < max(-2c, 0), so only a prefix of k takes
-    the test, and the rest is one pass of e1*log1p(..) + e2*log1p(..).  A
-    float e keeps the product on the interpreter's fast path.
+    the test, and the rest is one pass of e1*log1p(..) + e2*log1p(..) over
+    float k and float d: the interpreter's fast path, where an int k would
+    make every k + d a generic add.  A float e does the same for the product.
 
-    The count - 1 steps go into a Kahan-compensated sum.  Summed plainly, a
-    log-magnitude near 30 rounds by about 2e-15 per step, 1e-13 relative in
-    the terms after 1024 steps; compensated, about one rounding in all.
+    Each of the count - 1 steps goes into a Kahan-compensated sum as it is
+    formed.  Summed plainly, a log-magnitude near 30 rounds by about 2e-15
+    per step, 1e-13 relative in the terms after 1024 steps; compensated,
+    about one rounding in all.
     """
     (c1, d1, e1), (c2, d2, e2) = factors
+    d1, d2 = float(d1), float(d2)
     end = first + count - 1
     split = min(end, max(first, *(math.ceil(max(-2.0 * c, 0.0) - d) + 1
                                   for c, d, _ in factors)))
-    steps = [_log_ratio(c1, d1, e1, k) + _log_ratio(c2, d2, e2, k)
-             for k in range(first, split)]
-    steps += [e1 * math.log1p(c1 / (k + d1)) + e2 * math.log1p(c2 / (k + d2))
-              for k in range(split, end)]
     total, comp, logs = start, 0.0, [start]
-    for step in steps:
-        y = step - comp
+    for k in range(first, split):
+        y = _log_ratio(c1, d1, e1, k) + _log_ratio(c2, d2, e2, k) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        logs.append(total)
+    for k in map(float, range(split, end)):
+        y = e1 * math.log1p(c1 / (k + d1)) + e2 * math.log1p(c2 / (k + d2)) - comp
         t = total + y
         comp = (t - total) - y
         total = t
@@ -246,10 +251,11 @@ def _binomial_weights(n):
 
 @lru_cache(maxsize=None)
 def _cvz_weights(n):
-    """(c_0 .. c_(n-1), d) for n terms, summed as sum_k c_k |t_k| / d (Cohen,
-    Rodriguez Villegas and Zagier, Exp. Math. 9, 2000, Algorithm 1).  A
-    tuple, cached like _binomial_weights.  d overflows above _CVZ_MAX_N, so
-    more terms are outside CVZ's domain."""
+    """(|c_0| .. |c_(n-1)|, d) for n terms: the weights c_k = (-1)^k |c_k|
+    of Cohen, Rodriguez Villegas and Zagier (Exp. Math. 9, 2000, Algorithm
+    1) with their signs folded in, summed as sum_k |c_k| t_k / d.  A tuple,
+    cached like _binomial_weights.  d overflows above _CVZ_MAX_N, so more
+    terms are outside CVZ's domain."""
     if n > _CVZ_MAX_N:
         raise DomainError(f"cvz takes at most {_CVZ_MAX_N} terms, got {n}: "
                           "its scale (3 + sqrt 8)^N overflows a double")
@@ -260,7 +266,7 @@ def _cvz_weights(n):
     weights = []
     for k in range(n):
         c = b - c
-        weights.append(c)
+        weights.append(-c if k % 2 else c)
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
     return tuple(weights), d
 
@@ -269,20 +275,28 @@ def _cvz(terms):
     """Cohen-Rodriguez Villegas-Zagier sum of strictly alternating real
     terms; returns (value, error_estimate).
 
-    A term that underflowed to +-0.0 keeps its sign bit and still
-    alternates; an exact 0.0 after a positive term does not.  The weighted
-    sum is one builtin `sum`: left to right through Python 3.11, as the
+    The signs come from the min and max of the even- and odd-indexed
+    halves; only where these show a zero, a nan or a break are the sign bits
+    read one by one (a nan that min and max pass over leaves a nan sum): a
+    term that underflowed to +-0.0 keeps its sign bit and still alternates,
+    an exact 0.0 after a positive term does not.  The sum
+    sum_k |c_k| t_k = sign(t_0) sum_k c_k |t_k| term by term, exactly, and
+    rounding is symmetric, so it carries the bits of the unfolded sum; only
+    a sum that comes to exactly zero takes the sign of t_0 explicitly.  It
+    is one builtin `sum`: left to right through Python 3.11, as the
     recurrence's loop added, compensated from 3.12 (see README)."""
-    signs = list(map(math.copysign, repeat(1.0), terms))
-    if signs[0::2].count(signs[0]) + signs[1::2].count(-signs[0]) < len(signs):
-        same = list(map(operator.eq, signs, signs[1:]))
-        raise SignPatternError(
-            f"terms must strictly alternate in sign (index {same.index(True) + 1})")
+    evens, odds = terms[0::2], terms[1::2] or [-terms[0]]
+    hi, lo, odd_hi, odd_lo = max(evens), min(evens), max(odds), min(odds)
+    if not (lo > 0.0 > odd_hi or hi < 0.0 < odd_lo):
+        signs = list(map(math.copysign, repeat(1.0), terms))
+        if signs[0::2].count(signs[0]) + signs[1::2].count(-signs[0]) < len(signs):
+            same = list(map(operator.eq, signs, signs[1:]))
+            raise SignPatternError(
+                f"terms must strictly alternate in sign (index {same.index(True) + 1})")
     weights, d = _cvz_weights(len(terms))
-    magnitudes = list(map(abs, terms))
-    s = sum(map(operator.mul, weights, magnitudes))
-    a_max = max(magnitudes)
-    return signs[0] * (s / d), max(3.0 * a_max / d, 16.0 * _U * a_max)
+    s = sum(map(operator.mul, weights, terms)) or 0.0 * terms[0]
+    a_max = max(map(abs, (hi, lo, odd_hi, odd_lo)))
+    return s / d, max(3.0 * a_max / d, 16.0 * _U * a_max)
 
 
 def sum_alternating(terms, method: AccelerationMethod | str) -> ConvergenceReport:

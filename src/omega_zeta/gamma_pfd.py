@@ -91,15 +91,17 @@ def modulus_product(a: float, z: complex, n_factors: int) -> complex:
     _check_index("n_factors", n_factors, 1)
     a, z = _finite_pair(a, z)
     z2 = z * z
-    log_prod = 0j
+    logs = []
     for k in range(1, n_factors + 1):
         den = a - 1.0 + k
         factor = 1.0 - z2 / (den * den) if den else 0.0
         if abs(factor) <= _POLE_DIST:
             raise PoleError(f"z = {z} hits pole at a-1+{k}")
-        log_prod -= cmath.log(factor)
+        logs.append(-cmath.log(factor))
     if not abs(z) < a + n_factors:
         raise DomainError(f"need |z| < a + n_factors = {a + n_factors:.6g}, got |z| = {abs(z):.4g}")
+    # N logarithms, added one by one, would round N times
+    log_prod = complex(math.fsum(t.real for t in logs), math.fsum(t.imag for t in logs))
     return cmath.exp(_log_power_tail(z, 2, a + n_factors, log_prod))
 
 
@@ -141,11 +143,14 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     z2 = z * z
     zz = z2.real if z2.imag == 0 else z2
     ga2 = exp_log(2.0 * log_gamma(a)).real
-    dens = [zz - (a + k) * (a + k) for k in range(n_terms)]
-    # |den| >= |Im den| = |Im z^2|, so only a near-real z^2 can meet a pole
-    if abs(z2.imag) <= _POLE_DIST and min(map(abs, dens)) <= _POLE_DIST:
-        k = next(k for k, den in enumerate(dens) if abs(den) <= _POLE_DIST)
-        raise PoleError(f"z = {z} within tolerance of pole at a+{k}")
+    # |z^2 - (a+k)^2| >= |Im z^2|, so only a near-real z^2 can meet a pole,
+    # and only at the k nearest -a +- sqrt(Re z^2)
+    if abs(z2.imag) <= _POLE_DIST:
+        root = math.sqrt(max(z2.real, 0.0))
+        near = [min(max(x - a, 0.0), n_terms - 1.0) for x in (-root, root)]
+        for k in sorted({f(x) for x in near for f in (math.floor, math.ceil)}):
+            if abs(zz - (a + k) * (a + k)) <= _POLE_DIST:
+                raise PoleError(f"z = {z} within tolerance of pole at a+{k}")
     if z2 == 0:
         # Every term is 0 (CVZ would reject them as not alternating), also
         # where exp of its coefficient's logarithm would overflow.
@@ -158,8 +163,8 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     for k in range(min(n_terms, math.floor(-2.0 * a) + 1)):
         if math.floor(2.0 * a + k) % 2 != (a + k < 0):
             twos[k] = -twos[k]
-    terms = [two * math.exp(log_coef) * zz / den
-             for two, log_coef, den in zip(twos, log_coefs, dens)]
+    terms = [two * math.exp(log_coef) * zz / (zz - (ak := a + k) * ak)
+             for two, log_coef, k in zip(twos, log_coefs, map(float, range(n_terms)))]
     k = 0
     if z2.imag == 0:
         while k < n_terms - 1 and (2.0 * a + k <= 0 or (a + k) ** 2 <= z2.real):

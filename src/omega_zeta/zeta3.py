@@ -105,7 +105,11 @@ def hyperbolic_term(n: int) -> float:
 def beta_series_term(n: int) -> float:
     """3 * (-1)^(n-1) * B(n/2, n/2) / n^2, with B(m, m) = 1/((2m - 1)
     C(2m - 2, m - 1)) and B(m + 1/2, m + 1/2) = pi C(2m, m)/16^m: an
-    integer quotient, correctly rounded, or pi times one."""
+    integer quotient, correctly rounded, or pi times one.  Both quotients
+    fall with n and round to zero from n = 1053 on, where the term is the
+    formula's signed zero without forming n-digit binomials."""
+    if n >= 1053:
+        return 0.0 if n % 2 else -0.0
     m = n // 2
     if n % 2:
         return math.pi * (3 * math.comb(2 * m, m) / (16 ** m * n * n))

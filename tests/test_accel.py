@@ -5,7 +5,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -562,9 +562,100 @@ def test_cvz_matches_the_recurrence_loop():
             assert value.hex() == ref.hex(), len(terms)
         else:
             weights, d = _cvz_weights(len(terms))
-            products = map(operator.mul, weights, map(abs, terms))
-            exact = math.copysign(float(sum(map(Fraction, products))) / d, terms[0])
+            products = map(operator.mul, weights, terms)
+            exact = float(sum(map(Fraction, products))) / d
             assert abs(value - exact) <= 3 * math.ulp(exact), len(terms)
+
+
+def _cvz_copysign(terms):
+    """_cvz as it read its signs before: one copysign per term, then the
+    unfolded sum sign(t_0) sum_k c_k |t_k| / d with c_k = (-1)^k |c_k|,
+    kept here to pin the bits of the sign-folded form."""
+    signs = list(map(math.copysign, repeat(1.0), terms))
+    if signs[0::2].count(signs[0]) + signs[1::2].count(-signs[0]) < len(signs):
+        same = list(map(operator.eq, signs, signs[1:]))
+        raise SignPatternError(
+            f"terms must strictly alternate in sign (index {same.index(True) + 1})")
+    folded, d = _cvz_weights(len(terms))
+    weights = [-w if k % 2 else w for k, w in enumerate(folded)]
+    magnitudes = list(map(abs, terms))
+    s = sum(map(operator.mul, weights, magnitudes))
+    a_max = max(magnitudes)
+    return signs[0] * (s / d), max(3.0 * a_max / d, 16.0 * 2.0 ** -53 * a_max)
+
+
+def _outcome(fn, terms):
+    try:
+        return tuple(map(float.hex, fn(terms)))
+    except SignPatternError as exc:
+        return "SignPatternError", str(exc)
+
+
+def _alternating(n, lead, rng):
+    return [lead * (-1.0) ** k * rng.uniform(0.5, 2.0) / (k + 1) for k in range(n)]
+
+
+def _cvz_sign_cases():
+    rng = random.Random(2030)
+    for lead in (1.0, -1.0):
+        for n in (1, 2, 3, 17, 128, 401, 402):
+            yield _alternating(n, lead, rng)
+        # tails underflowed to +-0.0 that keep their sign bits
+        yield [lead * (-1.0) ** k * 1e-300 * 10.0 ** (-8 * k) for k in range(60)]
+        yield [lead * (-1.0) ** k * 2.0 ** (-1070 - k) for k in range(9)]
+        # an all-zero alternating series, and one term of either zero
+        for n in (1, 2, 5, 402):
+            yield [lead * (-1.0) ** k * 0.0 for k in range(n)]
+        # weights that cancel exactly: a zero sum of nonzero terms
+        w0, w1 = _cvz_weights(2)[0]
+        yield [lead * w1, -lead * w0]
+        # a zero, a sign pattern that breaks, ints among the floats
+        yield [lead, -lead, 0.0, -lead]
+        yield [lead, -lead, -0.0 * lead, -lead]
+        yield [lead, -lead, -lead, lead]
+        yield [lead, 0.0, lead]
+        yield [lead, -0.5 * lead, 0.25 * lead, -0.125 * lead, 0.0]
+        yield [int(lead), -0.5 * lead, 2 * int(lead), -0.125 * lead]
+
+
+def test_cvz_sign_folded_sum_keeps_the_copysign_forms_bits():
+    # (-1)^k c_k t_k = sign(t_0) c_k |t_k| exactly and rounding is symmetric,
+    # so value, estimate and the sign of a zero sum keep their bits, and a
+    # broken sign pattern names the same index.
+    kinds = set()
+    for terms in _cvz_sign_cases():
+        got, ref = _outcome(_cvz, terms), _outcome(_cvz_copysign, terms)
+        assert got == ref, terms[:4]
+        kinds.add(got[0] if got[0] == "SignPatternError" else got[0].startswith("-"))
+    assert kinds == {"SignPatternError", False, True}  # errors, values of either sign
+    assert _cvz([0.0, -0.0, 0.0])[0].hex() == "0x0.0p+0"
+    assert _cvz([-0.0, 0.0, -0.0])[0].hex() == "-0x0.0p+0"
+    w0, w1 = _cvz_weights(2)[0]
+    assert _cvz([-w1, w0])[0].hex() == "-0x0.0p+0"
+
+
+@pytest.mark.parametrize("terms, index", [
+    ([1.0, 0.0, 0.25], 1),
+    ([-1.0, 0.5, 0.0, 0.125], 2),
+    ([1.0, -0.5, 0.25, 0.0, 0.125], 3),
+])
+def test_cvz_exact_zero_after_a_positive_term_breaks_the_pattern(terms, index):
+    message = f"terms must strictly alternate in sign (index {index})"
+    for fn in (_cvz, _cvz_copysign):
+        with pytest.raises(SignPatternError, match=re.escape(message)):
+            fn(terms)
+    with pytest.raises(SignPatternError, match=re.escape(message)):
+        sum_alternating(terms, CVZ)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [0, 1, 2, 5])
+def test_cvz_names_a_term_that_is_not_finite(bad, index):
+    terms = [(-1.0) ** k / (k + 1) for k in range(6)]
+    terms[index] = bad
+    message = f"term {index + 1} is {bad}: terms must be finite"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        sum_alternating(terms, CVZ)
 
 
 def test_cvz_weights_cache_returns_the_same_tuple_bits():
@@ -690,6 +781,13 @@ def _hypergeometric_cases():
         yield 0.0, ((n - 1, 1, 1.0), one), 0, max(28, 2 * n + 12)
     # c/(k + d) = -1/2 exactly at k = 4; then either sign of c and k + d
     yield 1.5, ((-2.0, 0.0, 1.0), (3.0, -7.25, -2.0)), 3, 40
+    # 4096 steps, with each offset d given as an int and as a float
+    for a in (1.7, -0.7, -100.3):
+        for d in (1, 1.0):
+            yield (math.lgamma(2.0 * a) - math.log(abs(a)),
+                   ((2.0 * a - 1.0, d, 1.0), (1.0, a, -1.0)), 0, 4096)
+    for zero in (0, 0.0):
+        yield 0.5, ((2.0 * 1.7 + 1.0, zero, 1.0), (1.0, 1.7, -3.0)), 1, 4096
     rng = random.Random(20203)
     for _ in range(40):
         start = rng.uniform(-5, 5)

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import mpmath as mp
@@ -67,16 +68,23 @@ def test_modulus_product_full_tail_vs_multiprecision(n_factors):
     # The whole tail sum_j z^(2j)/j zeta(2j, a + N): as accurate with 10
     # factors as with 1000, where z^2 psi'(a + N) alone was 2.5e-3 off at
     # (2.5, 2.25, 10).  At (12, 11, 1) the power sums at a + N = 13 need
-    # more than 20 terms before Euler-Maclaurin.  At N = 1000 the factors'
-    # 1000 logarithms of (12, 11), which add up to 13.5, carry 1e-14 of
-    # rounding of their own.
+    # more than 20 terms before Euler-Maclaurin.
     cases = [(a, frac * a * unit) for a in (0.5, 1.0, 2.5)
              for frac in (0.2, 0.6, 0.9) for unit in (1, 1j)]
-    cases += [(1.3, 0.5 + 0.7j)] + [(12.0, 11.0)] * (n_factors <= 50)
+    cases += [(1.3, 0.5 + 0.7j), (12.0, 11.0)]
     for a, z in cases:
         if abs(z) < a + n_factors:
             ref = _gamma_pair_ratio(a, z)
             assert abs(modulus_product(a, z, n_factors) - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("a, z", [(-0.99, 0.008), (12.0, 11.0), (2.5, 2.25)])
+def test_modulus_product_adds_its_factor_logarithms_exactly(a, z):
+    # 1000 logarithms added one by one were 4.6e-14, 1.2e-14 and 6.9e-16
+    # off; math.fsum leaves the rounding of each logarithm and of the tail.
+    with mp.workdps(40):
+        ref = _gamma_pair_ratio(a, z)
+        assert abs(modulus_product(a, z, 1000) - ref) <= 3e-15 * abs(ref)
 
 
 def test_modulus_product_tail_from_below_one():
@@ -420,3 +428,37 @@ def test_series_pole_names_the_first_k(a, z, k):
     # scanned.
     with pytest.raises(PoleError, match=rf"pole at a\+{k}$"):
         gamma_pfd_series(a, z, 16, EULER)
+
+
+def _first_pole(a, z, n_terms):
+    """The first k with |z^2 - (a+k)^2| within the pole tolerance, by a scan
+    of every k; None where there is none."""
+    z2 = complex(z) * complex(z)
+    zz = z2.real if z2.imag == 0 else z2
+    if abs(z2.imag) > 1e-8:
+        return None
+    return next((k for k in range(n_terms) if abs(zz - (a + k) * (a + k)) <= 1e-8), None)
+
+
+def _pole_cases():
+    rng = random.Random(2031)
+    for _ in range(300):  # a < 0, real z on +-(a + k), a little off or beyond N
+        a = rng.choice((rng.uniform(-40.0, -0.01), -rng.randrange(1, 30) - 0.5 + 1e-10))
+        ak = a + rng.randrange(0, 40)
+        yield a, rng.choice((1.0, -1.0)) * ak + rng.choice((0.0, 1e-10, -3e-10, 1e-9)), 32
+    for _ in range(200):  # imaginary z, a + k near 0
+        a = -rng.randrange(1, 40) + rng.uniform(-1e-4, 1e-4)
+        yield a, complex(0.0, rng.uniform(0.0, 2e-4)), 32
+
+
+def test_series_pole_scan_finds_the_first_k_of_a_full_scan():
+    found = 0
+    for a, z, n_terms in _pole_cases():
+        k = _first_pole(a, z, n_terms)
+        if k is None:
+            gamma_pfd_series(a, z, n_terms, EULER)
+        else:
+            found += 1
+            with pytest.raises(PoleError, match=rf"pole at a\+{k}$"):
+                gamma_pfd_series(a, z, n_terms, EULER)
+    assert 100 < found < 400

@@ -182,6 +182,24 @@ def test_inner_sums_past_the_double_range_are_the_signed_zeros_they_round_to():
         assert inner_double_sum(n).hex() == summed.hex() == zero.hex()
 
 
+def _beta_quotient(n):
+    """beta_series_term's formula for every n, the integer quotient of
+    n-digit binomials included."""
+    m = n // 2
+    if n % 2:
+        return math.pi * (3 * math.comb(2 * m, m) / (16 ** m * n * n))
+    return -3 / ((n - 1) * math.comb(n - 2, m - 1) * n * n)
+
+
+def test_beta_terms_past_the_double_range_are_the_signed_zeros_they_round_to():
+    # The quotient rounds to zero from n = 1053 on: +0.0 at odd n, -0.0 at
+    # even n.  Both quotients fall with n, so a sample stands for the rest.
+    for n in [*range(1040, 1101), *range(1101, 3001, 97), 2999, 3000]:
+        assert beta_series_term(n).hex() == _beta_quotient(n).hex(), n
+    assert _beta_quotient(1051) != 0.0 != _beta_quotient(1052)
+    assert [beta_series_term(n).hex() for n in (1053, 1054)] == ["0x0.0p+0", "-0x0.0p+0"]
+
+
 def test_beta_sum_past_the_double_range_keeps_its_bits():
     long = zeta3_series("beta", PrecisionConfig(max_terms=3000, method="none"))
     short = zeta3_series("beta", PrecisionConfig(max_terms=1000, method="none"))
