@@ -1,4 +1,4 @@
-"""Summation of alternating series with optional acceleration.
+"""The summation engine: alternating series, with optional acceleration.
 
 Two schemes are provided on top of plain summation:
 
@@ -88,50 +88,6 @@ class PrecisionConfig(namedtuple("PrecisionConfig",
             raise DomainError(f"target_abs_error must be > 0, got {target_abs_error!r}")
         _method(method)
         return tuple.__new__(cls, (max_terms, target_abs_error, method, trace_enabled))
-
-
-def _log_ratio(c, d, e, k):
-    """e*log|1 + c/(k + d)|, as one quotient where c/(k + d) < -1/2."""
-    x = c / (k + d)
-    return e * (math.log1p(x) if x >= -0.5 else math.log(abs((k + d + c) / (k + d))))
-
-
-def log_hypergeometric(start: float, factors, first: int, count: int) -> list[float]:
-    """log|t_k| for k = first .. first + count - 1 of a hypergeometric term.
-
-    log|t_first| = `start`, and t_(k+1)/t_k = prod (1 + c/(k + d))^e over
-    the two (c, d, e) triples in `factors`.  Each factor adds
-    e*log1p(c/(k+d)), or, where c/(k + d) < -1/2 and log1p would magnify
-    the rounding of its argument, e*log|(k + d + c)/(k + d)| as one
-    quotient.  That needs k + d < max(-2c, 0), so only a prefix of k takes
-    the test, and the rest is one pass of e1*log1p(..) + e2*log1p(..) over
-    float k and float d: the interpreter's fast path, where an int k would
-    make every k + d a generic add.  A float e does the same for the product.
-
-    Each of the count - 1 steps goes into a Kahan-compensated sum as it is
-    formed.  Summed plainly, a log-magnitude near 30 rounds by about 2e-15
-    per step, 1e-13 relative in the terms after 1024 steps; compensated,
-    about one rounding in all.
-    """
-    (c1, d1, e1), (c2, d2, e2) = factors
-    d1, d2 = float(d1), float(d2)
-    end = first + count - 1
-    split = min(end, max(first, *(math.ceil(max(-2.0 * c, 0.0) - d) + 1
-                                  for c, d, _ in factors)))
-    total, comp, logs = start, 0.0, [start]
-    for k in range(first, split):
-        y = _log_ratio(c1, d1, e1, k) + _log_ratio(c2, d2, e2, k) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        logs.append(total)
-    for k in map(float, range(split, end)):
-        y = e1 * math.log1p(c1 / (k + d1)) + e2 * math.log1p(c2 / (k + d2)) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        logs.append(total)
-    return logs
 
 
 @lru_cache(maxsize=None, typed=True)  # a head of 3.0 reaches `term`, also once 3 is cached

@@ -24,9 +24,7 @@ from omega_zeta.accel import (
     _cvz,
     _cvz_weights,
     euler_average,
-    log_hypergeometric,
 )
-from test_term_accuracy import _inverse_square_grid, _pfd_grid
 
 CVZ = AccelerationMethod.CHEBYSHEV_ALTERNATING
 EULER = AccelerationMethod.EULER_TRANSFORM
@@ -738,67 +736,3 @@ def test_terms_that_are_not_numbers_raise_a_domain_error(terms, method, index):
 def test_numbers_that_do_not_sum_as_doubles_raise_a_domain_error(terms, message, method):
     with pytest.raises(DomainError, match=re.escape(message)):
         sum_alternating(terms, method)
-
-
-def _log_hypergeometric_per_factor(start, factors, first, count):
-    """log_hypergeometric as first written, kept here to pin its bits: one
-    pass per factor with the quotient test on every k, the passes added
-    elementwise in the order of the factors, then the same Kahan sum."""
-    ks = range(first, first + count - 1)
-    steps = None
-    for c, d, e in factors:
-        logs = [e * (math.log1p(x) if (x := c / (k + d)) >= -0.5
-                     else math.log(abs((k + d + c) / (k + d))))
-                for k in ks]
-        steps = logs if steps is None else list(map(operator.add, steps, logs))
-    total, comp, out = start, 0.0, [start]
-    for step in steps:
-        y = step - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out.append(total)
-    return out
-
-
-def _hypergeometric_cases():
-    """(start, factors, first, count) of every series that builds its terms
-    with log_hypergeometric, at the term-accuracy grids and beyond."""
-    # a = 0.2499 / 0.2501 / -0.001 and q = -0.7501 / -0.4999 / -0.9 sit at
-    # the edges of the quotient prefix; at a = -100.3 and -150.7 it is long.
-    pfd = [a for a, _, _ in _pfd_grid()] + [-0.7, -100.3, -150.7]
-    for a in pfd:
-        yield (math.lgamma(2.0 * a) - math.log(abs(a)),
-               ((2.0 * a - 1.0, 1, 1.0), (1.0, a, -1.0)), 0, 1024)
-    for q, n_terms in _inverse_square_grid():
-        yield (math.lgamma(2.0 * q + 2.0) - 2.0 * math.lgamma(q + 1.0)
-               - 3.0 * math.log(q + 1.0),
-               ((2.0 * q + 1.0, 0, 1.0), (1.0, q, -3.0)), 1, n_terms)
-    # One factor alone, as for the binomial C(n+k-1, k), goes beside the
-    # factor of one, (0, 1, 0.0).
-    one = (0, 1, 0.0)
-    for n in (1, 2, 3, 17, 60):
-        yield 0.0, ((n - 1, 1, 1.0), one), 0, max(28, 2 * n + 12)
-    # c/(k + d) = -1/2 exactly at k = 4; then either sign of c and k + d
-    yield 1.5, ((-2.0, 0.0, 1.0), (3.0, -7.25, -2.0)), 3, 40
-    # 4096 steps, with each offset d given as an int and as a float
-    for a in (1.7, -0.7, -100.3):
-        for d in (1, 1.0):
-            yield (math.lgamma(2.0 * a) - math.log(abs(a)),
-                   ((2.0 * a - 1.0, d, 1.0), (1.0, a, -1.0)), 0, 4096)
-    for zero in (0, 0.0):
-        yield 0.5, ((2.0 * 1.7 + 1.0, zero, 1.0), (1.0, 1.7, -3.0)), 1, 4096
-    rng = random.Random(20203)
-    for _ in range(40):
-        start = rng.uniform(-5, 5)
-        drawn = [(rng.uniform(-6, 6), rng.uniform(-6, 6), rng.choice((1.0, -3.0)))
-                 for _ in range(rng.choice((1, 2)))]
-        yield start, (*drawn, one)[:2], rng.choice((0, 1, 3)), 48
-
-
-def test_log_hypergeometric_matches_the_per_factor_passes_bit_for_bit():
-    for start, factors, first, count in _hypergeometric_cases():
-        got = log_hypergeometric(start, factors, first, count)
-        ref = _log_hypergeometric_per_factor(start, factors, first, count)
-        assert type(got) is list
-        assert list(map(float.hex, got)) == list(map(float.hex, ref)), (factors, first)

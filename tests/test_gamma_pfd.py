@@ -1,5 +1,7 @@
 import math
+import operator
 import random
+import re
 import sys
 
 import mpmath as mp
@@ -21,7 +23,8 @@ from omega_zeta import (
     modulus_product,
     trigamma,
 )
-from omega_zeta.accel import log_hypergeometric, sum_alternating
+from omega_zeta.accel import sum_alternating
+from test_term_accuracy import _inverse_square_grid
 
 CVZ = AccelerationMethod.CHEBYSHEV_ALTERNATING
 EULER = AccelerationMethod.EULER_TRANSFORM
@@ -250,6 +253,7 @@ def test_series_term_past_double_range_overflows_readably(a, z, method):
     pytest.param(1e20, EULER, id="1e+20"),
     pytest.param(1e308, EULER, id="1e+308"),
     pytest.param(460.0, CVZ, id="460.0-cvz"),
+    pytest.param(470.0, CVZ, id="470.0-cvz"),
     pytest.param(469.0, EULER, id="469.0-euler"),
     pytest.param(469.0, NONE, id="469.0-none"),
 ])
@@ -258,7 +262,8 @@ def test_inverse_square_huge_q_overflows_readably(q, method):
     # and -4q is -inf at 1e308.  CVZ's weighted sum of finite terms
     # overflows to nan from q near 454, and at 469 Euler's sums reach inf.
     # There the last term is -inf, which `none` must not read as growth.
-    with pytest.raises(OverflowError, match="exceeds double range"):
+    message = "inverse_square_series: a term, a weight or the sum exceeds double range"
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
         inverse_square_series(q, 16, method)
 
 
@@ -340,13 +345,36 @@ def test_inverse_square_divergence_detected():
         inverse_square_series(2.5, 64, NONE)
 
 
+def _log_hypergeometric_per_factor(start, factors, first, count):
+    """log|t_k|, k = first .. first + count - 1, of a term with log|t_first|
+    = start and t_(k+1)/t_k = prod (1 + c/(k + d))^e over the (c, d, e) in
+    `factors`, as first computed, kept here to pin the bits of both series:
+    one pass per factor with the quotient test on every k, the passes added
+    elementwise in the order of the factors, then a Kahan sum."""
+    ks = range(first, first + count - 1)
+    steps = None
+    for c, d, e in factors:
+        logs = [e * (math.log1p(x) if (x := c / (k + d)) >= -0.5
+                     else math.log(abs((k + d + c) / (k + d))))
+                for k in ks]
+        steps = logs if steps is None else list(map(operator.add, steps, logs))
+    total, comp, out = start, 0.0, [start]
+    for step in steps:
+        y = step - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        out.append(total)
+    return out
+
+
 def _per_term(a, z, n_terms):
     """The series' terms as first built, kept here to pin their bits: one
     complex term per k, its sign from the signs of Gamma(2a+k) and a+k."""
     z2 = complex(z) * complex(z)
-    log_coefs = log_hypergeometric(math.lgamma(2.0 * a) - math.log(abs(a)),
-                                   ((2.0 * a - 1.0, 1, 1.0), (1.0, a, -1.0)),
-                                   0, n_terms)
+    log_coefs = _log_hypergeometric_per_factor(math.lgamma(2.0 * a) - math.log(abs(a)),
+                                               ((2.0 * a - 1.0, 1, 1.0), (1.0, a, -1.0)),
+                                               0, n_terms)
     terms = []
     for k, log_coef in enumerate(log_coefs):
         ak = a + k
@@ -391,19 +419,40 @@ def _hex(t):
 # 1.7 as in the benchmark; -0.3, -0.7, -1.94 and -2.9 have coefficients of
 # either sign, and z = 0.41 flips the first terms at a = -0.3 and -0.7.  At
 # a = -100.3 and -150.7 terms underflow to +-0.0, with |a+k| >= 0.3 > |z|.
+# Below a = 1/4 the first steps take the quotient test (c/(k + d) < -1/2 at
+# k = 0); N = 1, 2 and 3 leave no step or few after it.
 @pytest.mark.parametrize("a,z", [
-    (a, z) for a in (1.7, -0.3, -0.7, -1.94, -2.9, -100.3, -150.7)
+    (a, z) for a in (1.7, -0.3, -0.7, -1.94, -2.9, -100.3, -150.7, 0.2499, 0.25, 0.2501)
     for z in (0.2, 0.35j, 0.2 + 0.1j) + ((0.41,) if a > -100 else ())])
 def test_series_terms_match_the_per_term_formula_bit_for_bit(built_terms, a, z):
-    gamma_pfd_series(a, z, 1024, EULER)
-    ref = _per_term(a, z, 1024)
-    if (z * z).imag == 0:
-        # real z^2: float terms, each the real part of the complex one
-        assert {type(t) for t in built_terms} == {float}
-        ref = [t.real for t in ref]
-    assert list(map(_hex, built_terms)) == list(map(_hex, ref))
+    for n_terms in (1, 2, 3, 1024):
+        built_terms.clear()
+        gamma_pfd_series(a, z, n_terms, EULER)
+        ref = _per_term(a, z, n_terms)
+        if (z * z).imag == 0:
+            # real z^2: float terms, each the real part of the complex one
+            assert {type(t) for t in built_terms} == {float}
+            ref = [t.real for t in ref]
+        assert list(map(_hex, built_terms)) == list(map(_hex, ref)), n_terms
     if a < -100 and (z * z).imag == 0:
         assert {_hex(t) for t in built_terms if t == 0} == {"0x0.0p+0", "-0x0.0p+0"}
+
+
+# q = -0.9 and -0.7501 take the quotient test at n = 1, as (2q+1)/n < -1/2,
+# and at -0.802 and -0.9519 the first log step rounds apart from one taken
+# with log1p; -0.4999 sits just above the q = -1/2 where 2q+1 changes sign.
+@pytest.mark.parametrize("q", sorted({q for q, _ in _inverse_square_grid()}
+                                     | {-0.9519, -0.9, -0.802, -0.7501, -0.4999}))
+def test_inverse_square_terms_match_the_per_factor_logs_bit_for_bit(captured, q):
+    sizes = {1, 2, 3, 1024} | {n for p, n in _inverse_square_grid() if p == q}
+    for n_terms in sorted(sizes):
+        captured.clear()
+        inverse_square_series(q, n_terms, EULER)
+        logs = _log_hypergeometric_per_factor(
+            math.lgamma(2.0 * q + 2.0) - 2.0 * math.lgamma(q + 1.0) - 3.0 * math.log(q + 1.0),
+            ((2.0 * q + 1.0, 0, 1.0), (1.0, q, -3.0)), 1, n_terms)
+        ref = [(-2.0 if n % 2 else 2.0) * math.exp(log) for n, log in enumerate(logs)]
+        assert list(map(float.hex, captured[0])) == list(map(float.hex, ref)), n_terms
 
 
 @pytest.mark.parametrize("z", [0.41, 0.35j, 2.2])

@@ -11,9 +11,7 @@ import random
 import mpmath as mp
 import pytest
 
-import omega_zeta.gamma_pfd as gamma_pfd_module
 from omega_zeta import gamma_pfd_series, inverse_square_series
-from omega_zeta.accel import sum_alternating
 
 TERM_REL_TOL = 1e-13
 
@@ -49,19 +47,6 @@ def _inverse_square_grid():
     cases += [(round(rng.uniform(-0.99, 3.0), 6), rng.choice((16, 256, 1024)))
               for _ in range(6)]
     return cases
-
-
-@pytest.fixture
-def captured(monkeypatch):
-    """Lists of terms that `gamma_pfd` passes to `sum_alternating`."""
-    seen = []
-
-    def capture(terms, method):
-        seen.append(list(terms))
-        return sum_alternating(terms, method)
-
-    monkeypatch.setattr(gamma_pfd_module, "sum_alternating", capture)
-    return seen
 
 
 def _max_rel_error(got, ref):
