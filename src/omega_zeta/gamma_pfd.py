@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
-import operator
 
 from .accel import AccelerationMethod, ConvergenceReport, _method, sum_alternating
 from .errors import DomainError, PoleError, _check_index
@@ -57,6 +57,15 @@ def _log_prefix(start, factors, first, end):
         total = t
         logs.append(total)
     return logs, total, comp
+
+
+@functools.lru_cache(maxsize=None)
+def _steps(first, size):
+    """((first, 0.0), (-first, 1.0), (first, 2.0), ...), `size` pairs: the
+    alternating sign and the float index k of each term, for the term passes
+    to read instead of forming them per call.  Callers ask for the least
+    power of two >= N, so a record holds < 2N pairs and all of one sign < 4N."""
+    return tuple(zip(itertools.cycle((first, -first)), map(float, range(size))))
 
 
 def gamma_pair(a: complex, z: complex) -> complex:
@@ -156,8 +165,10 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     The coefficients c_k = Gamma(2a+k)/((a+k) k!) are hypergeometric, with
     c_(k+1)/c_k = (1 + (2a-1)/(k+1)) / (1 + 1/(a+k)): log|c_0| takes one
     lgamma, `_log_prefix` the first steps and one pass the rest, which builds
-    each term as its log-magnitude is summed.  The terms stay within about
-    1e-14 relative of their exact values up to N = 1024.
+    each term as its log-magnitude is summed, reading its sign and float k
+    from the cached `_steps` record (a < 0 flips signs only inside the
+    prefix).  The terms stay within about 1e-14 relative of their exact
+    values up to N = 1024.
     """
     method = _method(method)
     a, z = _finite_pair(a, z)
@@ -185,16 +196,18 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     c = 2.0 * a - 1.0
     logs, total, comp = _log_prefix(math.lgamma(2.0 * a) - math.log(abs(a)),
                                     ((c, 1.0, 1.0), (1.0, a, -1.0)), 0, n_terms - 1)
-    # 2 (-1)^(k+1) sign(c_k); 2a+k < 0 for k <= -2a, Gamma(2a+k) < 0 at odd floors
-    twos = [-2.0, 2.0] * (n_terms // 2 + 1)
-    for k in range(min(n_terms, math.floor(-2.0 * a) + 1)):
+    # 2 (-1)^(k+1) sign(c_k); 2a+k < 0 for k <= -2a, Gamma(2a+k) < 0 at odd
+    # floors, all k inside the prefix, past which the signs just alternate
+    twos = [-2.0, 2.0] * (len(logs) // 2 + 1)
+    for k in range(min(len(logs), math.floor(-2.0 * a) + 1)):
         if math.floor(2.0 * a + k) % 2 != (a + k < 0):
             twos[k] = -twos[k]
     terms = [two * math.exp(log_coef) * zz / (zz - (ak := a + k) * ak)
              for two, log_coef, k in zip(twos, logs, map(float, range(n_terms)))]
     # a + k serves c_k's term and the step from c_k to c_(k+1)
     ak = a + (len(logs) - 1)
-    for two, k1 in zip(twos[len(logs):], map(float, range(len(logs), n_terms))):
+    steps = _steps(-2.0, 1 << (n_terms - 1).bit_length())
+    for two, k1 in itertools.islice(steps, len(logs), n_terms):
         y = math.log1p(c / k1) - math.log1p(1.0 / ak) - comp
         t = total + y
         comp = (t - total) - y
@@ -206,7 +219,7 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
         while k < n_terms - 1 and (2.0 * a + k <= 0 or (a + k) ** 2 <= z2.real):
             k += 1
     head = math.fsum(terms[:k])
-    rep = _sum_own_terms(terms[k:], method)
+    rep = _sum_own_terms(terms[k:] if k else terms, method)
     return ConvergenceReport(ga2 + head + rep.value, n_terms, rep.error_estimate, method)
 
 
@@ -218,7 +231,8 @@ def inverse_square_series(q: float, n_terms: int,
 
     The terms are hypergeometric, with t_(n+1)/t_n =
     -(1 + (2q+1)/n) / (1 + 1/(q+n))^3: log|t_1| takes the only lgamma calls,
-    `_log_prefix` the first steps and one term-building pass the rest.
+    `_log_prefix` the first steps and one term-building pass the rest, which
+    reads each sign and float n from the cached `_steps` record.
     """
     method = _method(method)
     try:
@@ -229,17 +243,18 @@ def inverse_square_series(q: float, n_terms: int,
         raise DomainError(f"need finite q, got q = {q!r}")
     if q <= -1:
         raise DomainError(f"need q > -1, got {q}")
+    q = float(q)  # a Decimal q would meet float arithmetic below
     _check_index("n_terms", n_terms, 1)
     # With 16 terms the CVZ sum leaves the double range from q near 454,
     # a term from 469, and lgamma itself from 1e305.
     log_t1 = (math.lgamma(2.0 * q + 2.0) - 2.0 * math.lgamma(q + 1.0)
               - 3.0 * math.log(q + 1.0))
     c = 2.0 * q + 1.0
-    logs, total, comp = _log_prefix(log_t1, ((c, 0.0, 1.0), (1.0, float(q), -3.0)),
+    logs, total, comp = _log_prefix(log_t1, ((c, 0.0, 1.0), (1.0, q, -3.0)),
                                     1, n_terms)
-    twos = [2.0, -2.0] * (n_terms // 2 + 1)
-    terms = list(map(operator.mul, twos, map(math.exp, logs)))
-    for two, k in zip(twos[len(logs):], map(float, range(len(logs), n_terms))):
+    steps = _steps(2.0, 1 << (n_terms - 1).bit_length())
+    terms = [two * math.exp(log) for (two, _), log in zip(steps, logs)]
+    for two, k in itertools.islice(steps, len(logs), n_terms):
         y = math.log1p(c / k) - 3.0 * math.log1p(1.0 / (k + q)) - comp
         t = total + y
         comp = (t - total) - y

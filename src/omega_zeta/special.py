@@ -175,6 +175,7 @@ def trigamma(x: float) -> float:
     """psi'(x) = zeta(2, x) = sum_{k>=0} 1/(x+k)^2 for real x > 0."""
     if not 0 < x < math.inf:
         raise DomainError(f"trigamma needs finite x > 0, got {x}")
+    x = float(x)  # a Decimal x would meet float arithmetic below
     if x * x == 0.0 or 1.0 / (x * x) == math.inf:  # psi'(x) > 1/x^2, the rest < 2
         raise OverflowError(f"trigamma({x!r}): psi'(x) exceeds double range")
     return _hurwitz(2.0, x)

@@ -2,6 +2,7 @@
 the CLI maps to its exit code, never in a bare ValueError."""
 
 import re
+from decimal import Decimal
 from functools import partial
 
 import pytest
@@ -23,8 +24,10 @@ from omega_zeta import (
     sine_term,
     sum_alternating,
     tail_power_sum,
+    trigamma,
     unity_gamma_product,
     unity_product_pfd,
+    zeta_oracle,
     zeta_term,
 )
 from omega_zeta.verify import run_suite
@@ -81,6 +84,18 @@ _INDEX_CASES = [(f"{func}-{name}-{value!r}", partial(call, value), re.escape(mes
 def test_invalid_input_raises_typed_error(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+# Each of these does float arithmetic on its real argument, where a Decimal
+# would end in Python's own TypeError: it is taken as its float, to the bit.
+@pytest.mark.parametrize("call,x", [
+    (lambda x: inverse_square_series(x, 16, "none"), "0.5"),
+    (trigamma, "1.5"),
+    (zeta_oracle, "3"),
+    (lambda x: tail_power_sum(x, 5), "3"),
+], ids=["inverse_square_series", "trigamma", "zeta_oracle", "tail_power_sum"])
+def test_decimal_argument_returns_the_value_of_its_float(call, x):
+    assert repr(call(Decimal(x))) == repr(call(float(Decimal(x))))
 
 
 @pytest.mark.parametrize("term", [zeta_term, sine_term, hyperbolic_term, inner_double_sum],

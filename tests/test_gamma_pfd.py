@@ -416,16 +416,22 @@ def _hex(t):
     return (t.real.hex(), t.imag.hex()) if type(t) is complex else t.hex()
 
 
+# N = 1, 2 and 3 leave no step or few after the prefix; the others read the
+# cached (sign, k) records of 4, 8, 64, 128, 1024 and 2048 pairs up to, at and
+# past a power of two.
+_SIZES = (1, 2, 3, 4, 5, 63, 64, 65, 1000, 1024, 1025)
+
+
 # 1.7 as in the benchmark; -0.3, -0.7, -1.94 and -2.9 have coefficients of
 # either sign, and z = 0.41 flips the first terms at a = -0.3 and -0.7.  At
 # a = -100.3 and -150.7 terms underflow to +-0.0, with |a+k| >= 0.3 > |z|.
 # Below a = 1/4 the first steps take the quotient test (c/(k + d) < -1/2 at
-# k = 0); N = 1, 2 and 3 leave no step or few after it.
+# k = 0).
 @pytest.mark.parametrize("a,z", [
     (a, z) for a in (1.7, -0.3, -0.7, -1.94, -2.9, -100.3, -150.7, 0.2499, 0.25, 0.2501)
     for z in (0.2, 0.35j, 0.2 + 0.1j) + ((0.41,) if a > -100 else ())])
 def test_series_terms_match_the_per_term_formula_bit_for_bit(built_terms, a, z):
-    for n_terms in (1, 2, 3, 1024):
+    for n_terms in _SIZES:
         built_terms.clear()
         gamma_pfd_series(a, z, n_terms, EULER)
         ref = _per_term(a, z, n_terms)
@@ -444,7 +450,7 @@ def test_series_terms_match_the_per_term_formula_bit_for_bit(built_terms, a, z):
 @pytest.mark.parametrize("q", sorted({q for q, _ in _inverse_square_grid()}
                                      | {-0.9519, -0.9, -0.802, -0.7501, -0.4999}))
 def test_inverse_square_terms_match_the_per_factor_logs_bit_for_bit(captured, q):
-    sizes = {1, 2, 3, 1024} | {n for p, n in _inverse_square_grid() if p == q}
+    sizes = set(_SIZES) | {n for p, n in _inverse_square_grid() if p == q}
     for n_terms in sorted(sizes):
         captured.clear()
         inverse_square_series(q, n_terms, EULER)
@@ -453,6 +459,24 @@ def test_inverse_square_terms_match_the_per_factor_logs_bit_for_bit(captured, q)
             ((2.0 * q + 1.0, 0, 1.0), (1.0, q, -3.0)), 1, n_terms)
         ref = [(-2.0 if n % 2 else 2.0) * math.exp(log) for n, log in enumerate(logs)]
         assert list(map(float.hex, captured[0])) == list(map(float.hex, ref)), n_terms
+
+
+def test_step_records_stay_bounded_and_clear():
+    # N = 1 .. 2100 reads records of 1, 2, 4, ..., 4096 pairs: 13 sizes for
+    # each of the two first signs, -2.0 for gamma_pfd_series and 2.0 for
+    # inverse_square_series
+    steps = gamma_pfd_module._steps
+    steps.cache_clear()
+    for n_terms in range(1, 2101):
+        gamma_pfd_series(0.7, 0.3, n_terms, NONE)
+        inverse_square_series(0.5, n_terms, NONE)
+    assert steps.cache_info().currsize == 2 * 13
+    before = [repr(gamma_pfd_series(0.7, 0.3, 1000, NONE)),
+              repr(inverse_square_series(0.5, 1000, NONE))]
+    steps.cache_clear()
+    assert steps.cache_info().currsize == 0
+    assert [repr(gamma_pfd_series(0.7, 0.3, 1000, NONE)),
+            repr(inverse_square_series(0.5, 1000, NONE))] == before
 
 
 @pytest.mark.parametrize("z", [0.41, 0.35j, 2.2])
