@@ -25,7 +25,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
 
-from .errors import DivergenceError, DomainError, SignPatternError, _check_index
+from .errors import DivergenceError, DomainError, SignPatternError, _check_index, _check_real
 
 __all__ = [
     "AccelerationMethod",
@@ -80,12 +80,7 @@ class PrecisionConfig(namedtuple("PrecisionConfig",
     def __new__(cls, max_terms: int = 64, target_abs_error: float = 1e-12,
                 method: str = "cvz", trace_enabled: bool = True):
         _check_index("max_terms", max_terms, 1)
-        try:
-            positive = target_abs_error > 0
-        except TypeError:  # a string
-            positive = False
-        if not positive:  # also nan
-            raise DomainError(f"target_abs_error must be > 0, got {target_abs_error!r}")
+        _check_real("target_abs_error", target_abs_error, 0, True)
         _method(method)
         return tuple.__new__(cls, (max_terms, target_abs_error, method, trace_enabled))
 

@@ -18,7 +18,7 @@ import itertools
 import math
 
 from .accel import AccelerationMethod, ConvergenceReport, _method, sum_alternating
-from .errors import DomainError, PoleError, _check_index
+from .errors import DomainError, PoleError, _check_complex, _check_index, _check_real
 from .special import _log_power_tail, exp_log, log_gamma
 
 __all__ = [
@@ -70,22 +70,9 @@ def _steps(first, size):
 
 def gamma_pair(a: complex, z: complex) -> complex:
     """Gamma(a+z) * Gamma(a-z), through log-space."""
-    a = complex(a)
-    z = complex(z)
+    a = _check_complex("a", a)
+    z = _check_complex("z", z)
     return exp_log(log_gamma(a + z) + log_gamma(a - z))
-
-
-def _finite_pair(a, z):
-    """(float(a), complex(z)), or DomainError unless both are finite numbers (not strings)."""
-    if not isinstance(a, (str, bytes)) and not isinstance(z, (str, bytes)):
-        try:
-            a, z = float(a), complex(z)
-        except (TypeError, ValueError):  # not a number
-            pass
-        else:
-            if math.isfinite(a) and cmath.isfinite(z):
-                return a, z
-    raise DomainError(f"need finite a and z, got a = {a!r}, z = {z!r}")
 
 
 def _sum_own_terms(terms, method):
@@ -124,7 +111,8 @@ def modulus_product(a: float, z: complex, n_factors: int) -> complex:
     """Truncated product for Gamma(a+z)Gamma(a-z)/Gamma(a)^2 with its full
     tail sum_j z^(2j)/j * zeta(2j, a + N), which needs |z| < a + N."""
     _check_index("n_factors", n_factors, 1)
-    a, z = _finite_pair(a, z)
+    a = _check_real("a", a)
+    z = _check_complex("z", z)
     z2 = z * z
     logs = []
     for k in range(1, n_factors + 1):
@@ -171,7 +159,8 @@ def gamma_pfd_series(a: float, z: complex, n_terms: int,
     values up to N = 1024.
     """
     method = _method(method)
-    a, z = _finite_pair(a, z)
+    a = _check_real("a", a)
+    z = _check_complex("z", z)
     if a == round(a) and a <= 0:
         raise PoleError(f"Gamma(a)^2 pole at a = {a}")
     if a < 0 and 2.0 * a == round(2.0 * a):
@@ -235,15 +224,7 @@ def inverse_square_series(q: float, n_terms: int,
     reads each sign and float n from the cached `_steps` record.
     """
     method = _method(method)
-    try:
-        finite = math.isfinite(q)
-    except TypeError:  # not a real number
-        finite = False
-    if not finite:
-        raise DomainError(f"need finite q, got q = {q!r}")
-    if q <= -1:
-        raise DomainError(f"need q > -1, got {q}")
-    q = float(q)  # a Decimal q would meet float arithmetic below
+    q = _check_real("q", q, -1, True)
     _check_index("n_terms", n_terms, 1)
     # With 16 terms the CVZ sum leaves the double range from q near 454,
     # a term from 469, and lgamma itself from 1e305.

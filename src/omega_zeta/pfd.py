@@ -10,10 +10,9 @@ and the coefficients sum to zero for n >= 2.
 
 from __future__ import annotations
 
-import cmath
 from collections import namedtuple
 
-from .errors import DegenerateNodesError, DomainError, PoleError
+from .errors import DegenerateNodesError, DomainError, PoleError, _check_complex
 
 __all__ = ["PfdResult", "pfd_coefficients", "pfd_residual"]
 
@@ -23,13 +22,10 @@ PfdResult = namedtuple("PfdResult", "nodes coefficients")
 
 
 def pfd_coefficients(a) -> PfdResult:
-    nodes = tuple(complex(v) for v in a)
+    nodes = tuple(_check_complex(f"node {i}", v) for i, v in enumerate(a))
     n = len(nodes)
     if n < 1:
         raise DomainError("need at least one node")
-    for i, node in enumerate(nodes):
-        if not cmath.isfinite(node):
-            raise DomainError(f"node {i} is {node}: nodes must be finite")
     coefficients = []
     for i in range(n):
         mu = 1.0 + 0j
@@ -45,7 +41,7 @@ def pfd_coefficients(a) -> PfdResult:
 
 def pfd_residual(result: PfdResult, x: complex) -> float:
     """|LHS - RHS| of the decomposition identity at probe point x."""
-    x = complex(x)
+    x = _check_complex("x", x)
     lhs = 1.0 + 0j
     rhs = 0j
     for node, mu in zip(result.nodes, result.coefficients):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, PoleError, _check_index
+from .errors import DomainError, PoleError, _check_complex, _check_index, _check_real
 
 __all__ = [
     "exp_log",
@@ -87,9 +87,9 @@ def log_gamma(z: complex) -> complex:
     attempt is made to keep the imaginary part on a continuous branch or
     in (-pi, pi]; only exp() of the result, `exp_log`, is meaningful.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"log_gamma needs finite z, got {z}")
+    # A finite complex z, the hot path, is used as it is, without a call.
+    if type(z) is not complex or not cmath.isfinite(z):
+        z = _check_complex("z", z)
     if _near_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z}")
     if z.real < 0.5:
@@ -173,9 +173,7 @@ def _log_power_tail(x: complex, m: int, y: float, total: complex) -> complex:
 
 def trigamma(x: float) -> float:
     """psi'(x) = zeta(2, x) = sum_{k>=0} 1/(x+k)^2 for real x > 0."""
-    if not 0 < x < math.inf:
-        raise DomainError(f"trigamma needs finite x > 0, got {x}")
-    x = float(x)  # a Decimal x would meet float arithmetic below
+    x = _check_real("x", x, 0, True)
     if x * x == 0.0 or 1.0 / (x * x) == math.inf:  # psi'(x) > 1/x^2, the rest < 2
         raise OverflowError(f"trigamma({x!r}): psi'(x) exceeds double range")
     return _hurwitz(2.0, x)
@@ -183,9 +181,8 @@ def trigamma(x: float) -> float:
 
 def log_sin(z: complex) -> complex:
     """A logarithm of sin(z), safe for large |Im z|."""
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"log_sin needs finite z, got {z}")
+    if type(z) is not complex or not cmath.isfinite(z):
+        z = _check_complex("z", z)
     k = round(z.real / math.pi)
     if abs(z.imag) <= _POLE_TOL and abs(z.real - k * math.pi) <= _POLE_TOL:
         raise PoleError(f"sin zero at z = {z}")
@@ -203,8 +200,7 @@ def log_sin(z: complex) -> complex:
 
 def log_sinh(x: float) -> float:
     """log(sinh(x)) for real x > 0 without overflow."""
-    if not 0 < x < math.inf:
-        raise DomainError(f"log_sinh needs finite x > 0, got {x}")
+    x = _check_real("x", x, 0, True)
     if x <= 20.0:
         return math.log(math.sinh(x))
     # sinh x = e^x (1 - e^{-2x}) / 2
@@ -213,8 +209,7 @@ def log_sinh(x: float) -> float:
 
 def log_cosh(x: float) -> float:
     """log(cosh(x)) for real x >= 0 without overflow."""
-    if not 0 <= x < math.inf:
-        raise DomainError(f"log_cosh needs finite x >= 0, got {x}")
+    x = _check_real("x", x, 0)
     if x <= 20.0:
         return math.log(math.cosh(x))
     return x - math.log(2.0) + math.log1p(math.exp(-2.0 * x))

@@ -22,7 +22,7 @@ import cmath
 import math
 
 from .accel import AccelerationMethod, ConvergenceReport
-from .errors import DomainError, PoleError, _check_index
+from .errors import DomainError, PoleError, _check_complex, _check_index
 from .oracle import tail_power_sum, zeta_oracle
 from .special import _log_power_tail, exp_log, log_gamma, roots_of_unity
 
@@ -94,7 +94,7 @@ def _log_truncated_product(m: int, x: complex, n_factors: int,
 def unity_gamma_product(m: int, z: complex, route) -> complex:
     """Evaluate the product by the requested route."""
     _check_index("m", m, 2)
-    z = complex(z)
+    z = _check_complex("z", z)
     if z == 0:
         return 1.0 + 0j
     _check_pole_distance(m, z)
@@ -175,7 +175,7 @@ def unity_product_pfd(m: int, z: complex, n_terms: int) -> ConvergenceReport:
     """
     _check_index("m", m, 2)
     _check_index("n_terms", n_terms, 1)
-    z = complex(z)
+    z = _check_complex("z", z)
     if abs(z) >= n_terms + 1:
         raise DomainError(f"a series of {n_terms} terms needs "
                           f"|z| < {n_terms + 1}, got |z| = {abs(z):.4g}")

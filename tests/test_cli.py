@@ -260,17 +260,16 @@ def test_converge_rejects_non_positive_max_terms(count):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("argv,named", [
-    (("phi", "3", "--z", "nan,0"), "z"),
-    (("phi", "3", "--z", "inf,0"), "z"),
-    (("gamma-pfd", "--a", "nan", "--z", "0.3,0"), "a = nan"),
-    (("gamma-pfd", "--a", "1.5", "--z", "nan,0"), "z = (nan+0j)"),
+@pytest.mark.parametrize("argv,message", [
+    (("phi", "3", "--z", "nan,0"), "z must be a finite number, got (nan+0j)"),
+    (("phi", "3", "--z", "inf,0"), "z must be a finite number, got (inf+0j)"),
+    (("gamma-pfd", "--a", "nan", "--z", "0.3,0"), "a must be a finite real number, got nan"),
+    (("gamma-pfd", "--a", "1.5", "--z", "nan,0"), "z must be a finite number, got (nan+0j)"),
 ], ids=["phi-z-nan", "phi-z-inf", "gamma-pfd-a-nan", "gamma-pfd-z-nan"])
-def test_non_finite_input_is_a_typed_domain_error(argv, named):
+def test_non_finite_input_is_a_typed_domain_error(argv, message):
     proc = run_cli(*argv)
     assert proc.returncode == 3
-    assert "need finite" in proc.stderr and named in proc.stderr
-    assert "convert" not in proc.stderr
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_gamma_overflow_reaches_the_user_as_domain_error():

@@ -1,8 +1,10 @@
 """Invalid input to a library call ends in a typed OmegaZetaError, which
 the CLI maps to its exit code, never in a bare ValueError."""
 
+import math
 import re
 from decimal import Decimal
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -11,12 +13,19 @@ from omega_zeta import (
     DomainError,
     GammaProduct,
     PrecisionConfig,
+    gamma,
+    gamma_pair,
     gamma_pfd_series,
     hyperbolic_term,
     inverse_square_series,
+    log_cosh,
+    log_gamma,
+    log_sin,
+    log_sinh,
     modulus_product,
     p_poly,
     pfd_coefficients,
+    pfd_residual,
     product_coefficient,
     q_poly,
     roots_of_unity,
@@ -86,16 +95,75 @@ def test_invalid_input_raises_typed_error(call, message):
         call()
 
 
+# (function, argument, call taking that argument, whether it must be real)
+_ARGUMENTS = [
+    ("zeta_oracle", "s", zeta_oracle, True),
+    ("tail_power_sum", "p", lambda v: tail_power_sum(v, 5), True),
+    ("inverse_square_series", "q", lambda v: inverse_square_series(v, 16, "euler"), True),
+    ("gamma_pfd_series", "a", lambda v: gamma_pfd_series(v, 0.3, 16, "euler"), True),
+    ("gamma_pfd_series", "z", lambda v: gamma_pfd_series(1.5, v, 16, "euler"), False),
+    ("modulus_product", "a", lambda v: modulus_product(v, 0.3, 5), True),
+    ("modulus_product", "z", lambda v: modulus_product(1.5, v, 5), False),
+    ("gamma_pair", "a", lambda v: gamma_pair(v, 0.2), False),
+    ("gamma_pair", "z", lambda v: gamma_pair(1.5, v), False),
+    ("trigamma", "x", trigamma, True),
+    ("log_sinh", "x", log_sinh, True),
+    ("log_cosh", "x", log_cosh, True),
+    ("log_gamma", "z", log_gamma, False),
+    ("gamma", "z", gamma, False),
+    ("log_sin", "z", log_sin, False),
+    ("unity_gamma_product", "z", lambda v: unity_gamma_product(3, v, GammaProduct()), False),
+    ("unity_product_pfd", "z", lambda v: unity_product_pfd(3, v, 10), False),
+    ("pfd_coefficients", "node 1", lambda v: pfd_coefficients([1.0, v]), False),
+    ("pfd_residual", "x", lambda v: pfd_residual(pfd_coefficients([1.0, 2.0]), v), False),
+    ("PrecisionConfig", "target_abs_error", lambda v: PrecisionConfig(target_abs_error=v), True),
+]
+
+# Not a number (a numeric string neither), a complex number where a real one
+# is needed, an int past the double range, and the non-finite floats.
+_NOT_NUMBERS = [("str", "1"), ("bytes", b"1"), ("None", None), ("complex", 1j),
+                ("int-past-double-range", 10 ** 400), ("nan", math.nan), ("inf", math.inf)]
+
+_ARGUMENT_CASES = [
+    pytest.param(call, value, f"{name} must be a finite {'real ' if real else ''}number, "
+                 f"got {value!r}", id=f"{func}-{name}-{label}")
+    for func, name, call, real in _ARGUMENTS
+    for label, value in _NOT_NUMBERS
+    if real or label != "complex"]
+
+
+@pytest.mark.parametrize("call,value,message", _ARGUMENT_CASES)
+def test_argument_that_is_not_a_finite_number_is_a_domain_error(call, value, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_int_too_long_to_print_is_named_by_its_size():
+    # repr refuses an int of over 4300 digits; the message gives its bit length.
+    with pytest.raises(DomainError, match=r"^s must be a finite real number, got an int of 16610 bits$"):
+        zeta_oracle(10 ** 5000)
+    with pytest.raises(DomainError, match=r"^m must be >= 2, got an int of 16610 bits$"):
+        roots_of_unity(-10 ** 5000)
+
+
 # Each of these does float arithmetic on its real argument, where a Decimal
-# would end in Python's own TypeError: it is taken as its float, to the bit.
+# would end in Python's own TypeError: it is taken as its float, to the bit,
+# and so is a Fraction.
 @pytest.mark.parametrize("call,x", [
     (lambda x: inverse_square_series(x, 16, "none"), "0.5"),
     (trigamma, "1.5"),
     (zeta_oracle, "3"),
     (lambda x: tail_power_sum(x, 5), "3"),
-], ids=["inverse_square_series", "trigamma", "zeta_oracle", "tail_power_sum"])
+    (log_sinh, "30"),
+    (log_cosh, "30"),
+    (lambda x: gamma_pair(x, 0.2), "1.5"),
+    (lambda x: gamma_pfd_series(x, 0.3, 16, "euler"), "1.5"),
+    (lambda x: modulus_product(x, 0.3, 10), "1.5"),
+], ids=["inverse_square_series", "trigamma", "zeta_oracle", "tail_power_sum",
+        "log_sinh", "log_cosh", "gamma_pair", "gamma_pfd_series", "modulus_product"])
 def test_decimal_argument_returns_the_value_of_its_float(call, x):
-    assert repr(call(Decimal(x))) == repr(call(float(Decimal(x))))
+    for number in (Decimal(x), Fraction(x)):
+        assert repr(call(number)) == repr(call(float(number)))
 
 
 @pytest.mark.parametrize("term", [zeta_term, sine_term, hyperbolic_term, inner_double_sum],

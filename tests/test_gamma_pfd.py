@@ -117,7 +117,9 @@ def test_modulus_product_tail_outside_its_range_is_a_domain_error(a, z, n_factor
 @pytest.mark.parametrize("a,z", [(math.nan, 0.3), (math.inf, 0.3),
                                  (1.5, complex(0.2, math.nan))])
 def test_modulus_product_rejects_non_finite_input(a, z):
-    with pytest.raises(DomainError, match="need finite"):
+    message = (f"a must be a finite real number, got {a!r}" if not math.isfinite(a)
+               else f"z must be a finite number, got {z!r}")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         modulus_product(a, z, 5)
 
 
@@ -130,22 +132,23 @@ def test_modulus_product_rejects_non_finite_input(a, z):
     (modulus_product, (1e-300, 0.3, 5), PoleError, "hits pole"),
     (gamma_pfd_series, (-2.0, 0.3, 16, EULER), PoleError, r"Gamma\(a\)\^2 pole"),
     (gamma_pfd_series, (1.5, 0.3, 0, EULER), DomainError, "n_terms"),
-    (inverse_square_series, (-1.0, 16, EULER), DomainError, "q > -1"),
+    (inverse_square_series, (-1.0, 16, EULER), DomainError, "q must be > -1, got -1.0"),
     (inverse_square_series, (0.5, 0, EULER), DomainError, "n_terms"),
     # the tail zeta(2j, a + N) needs |z| < a + N
     (modulus_product, (-1.0, 0.5, 1), DomainError, r"n_factors = 0, got \|z\| = 0.5"),
-    (inverse_square_series, ("1", 16, EULER), DomainError, "need finite q, got q = '1'"),
-    (gamma_pfd_series, (1.0, "x", 16, EULER), DomainError,
-     "need finite a and z, got a = 1.0, z = 'x'"),
-    (modulus_product, (1.0, "x", 5), DomainError, "need finite a and z, got a = 1.0, z = 'x'"),
+    (inverse_square_series, ("1", 16, EULER), DomainError,
+     "q must be a finite real number, got '1'"),
+    (gamma_pfd_series, (1.0, "x", 16, EULER), DomainError, "z must be a finite number, got 'x'"),
+    (modulus_product, (1.0, "x", 5), DomainError, "z must be a finite number, got 'x'"),
     # a numeric string is not a number either
     (gamma_pfd_series, ("1.5", 0.3, 16, EULER), DomainError,
-     "need finite a and z, got a = '1.5', z = 0.3"),
+     "a must be a finite real number, got '1.5'"),
     (gamma_pfd_series, (1.5, "0.3", 16, EULER), DomainError,
-     "need finite a and z, got a = 1.5, z = '0.3'"),
+     "z must be a finite number, got '0.3'"),
     (modulus_product, ("1.0", "0.5", 10), DomainError,
-     "need finite a and z, got a = '1.0', z = '0.5'"),
-    (modulus_product, (b"1.0", 0.5, 10), DomainError, "need finite a and z, got a = b'1.0'"),
+     "a must be a finite real number, got '1.0'"),
+    (modulus_product, (b"1.0", 0.5, 10), DomainError,
+     "a must be a finite real number, got b'1.0'"),
 ])
 def test_bad_input_raises_its_typed_error(fn, args, error, match):
     with pytest.raises(error, match=match):
@@ -225,7 +228,9 @@ def test_series_z_zero_builds_no_term(method):
                                  (1.5, complex(math.nan, 0.0)),
                                  (1.5, complex(0.2, -math.inf))])
 def test_series_rejects_non_finite_input(a, z):
-    with pytest.raises(DomainError, match="need finite"):
+    message = (f"a must be a finite real number, got {a!r}" if not math.isfinite(a)
+               else f"z must be a finite number, got {z!r}")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         gamma_pfd_series(a, z, 16, EULER)
 
 
@@ -269,7 +274,8 @@ def test_inverse_square_huge_q_overflows_readably(q, method):
 
 @pytest.mark.parametrize("q", [math.nan, math.inf])
 def test_inverse_square_rejects_non_finite_q(q):
-    with pytest.raises(DomainError, match="need finite q"):
+    message = f"q must be a finite real number, got {q!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         inverse_square_series(q, 16, EULER)
 
 

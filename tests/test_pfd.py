@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -51,12 +52,12 @@ def test_degenerate_nodes_rejected():
 
 
 @pytest.mark.parametrize("nodes,message", [
-    ([math.nan, 1.0], r"node 0 is \(nan\+0j\): nodes must be finite"),
-    ([math.inf, 1.0], r"node 0 is \(inf\+0j\): nodes must be finite"),
-    ([1.0, complex(0.0, -math.inf)], r"node 1 is -infj: nodes must be finite"),
+    ([math.nan, 1.0], "node 0 must be a finite number, got nan"),
+    ([math.inf, 1.0], "node 0 must be a finite number, got inf"),
+    ([1.0, complex(0.0, -math.inf)], "node 1 must be a finite number, got -infj"),
 ], ids=["nan", "inf", "imag-inf"])
 def test_non_finite_node_is_a_domain_error(nodes, message):
-    with pytest.raises(DomainError, match=message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         pfd_coefficients(nodes)
 
 

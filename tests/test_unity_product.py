@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import mpmath as mp
 import pytest
@@ -70,10 +71,11 @@ def test_pole_and_domain_errors():
         unity_gamma_product(2, 1200.5 + 0.5j, TruncatedProduct())
     with pytest.raises(DomainError, match="does not converge"):
         unity_gamma_product(2, 1000.9, TruncatedProduct())
-    with pytest.raises(DomainError, match="need finite z"):
+    with pytest.raises(DomainError, match=r"^z must be a finite number, got \(nan\+0j\)$"):
         unity_gamma_product(3, complex(math.nan, 0), GammaProduct())
     for z in (complex(math.nan, 0), complex(0.2, math.nan)):
-        with pytest.raises(DomainError, match="need finite z"):
+        message = f"z must be a finite number, got {z!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             unity_product_pfd(3, z, 5)
     with pytest.raises(DomainError):
         unity_product_pfd(3, 0.3, 0)
