@@ -25,7 +25,8 @@ from enum import Enum
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
 
-from .errors import DivergenceError, DomainError, SignPatternError, _check_index, _check_real
+from .errors import (DivergenceError, DomainError, SignPatternError, _check_index, _check_real,
+                     _shown)
 
 __all__ = [
     "AccelerationMethod",
@@ -83,6 +84,14 @@ class PrecisionConfig(namedtuple("PrecisionConfig",
         _check_real("target_abs_error", target_abs_error, 0, True)
         _method(method)
         return tuple.__new__(cls, (max_terms, target_abs_error, method, trace_enabled))
+
+
+def _default_config(config, **settings):
+    """PrecisionConfig(**settings) for a `config` of None, the one value
+    besides a PrecisionConfig that a series entry point takes."""
+    if config is not None:
+        raise DomainError(f"config must be a PrecisionConfig, got {_shown(config)}")
+    return PrecisionConfig(**settings)
 
 
 @lru_cache(maxsize=None, typed=True)  # a head of 3.0 reaches `term`, also once 3 is cached

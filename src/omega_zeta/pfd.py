@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import DegenerateNodesError, DomainError, PoleError, _check_complex
+from .errors import DegenerateNodesError, DomainError, PoleError, _check_complex, _shown
 
 __all__ = ["PfdResult", "pfd_coefficients", "pfd_residual"]
 
@@ -22,6 +22,8 @@ PfdResult = namedtuple("PfdResult", "nodes coefficients")
 
 
 def pfd_coefficients(a) -> PfdResult:
+    if not hasattr(a, "__iter__"):
+        raise DomainError(f"a must be an iterable of nodes, got {_shown(a)}")
     nodes = tuple(_check_complex(f"node {i}", v) for i, v in enumerate(a))
     n = len(nodes)
     if n < 1:
@@ -41,6 +43,8 @@ def pfd_coefficients(a) -> PfdResult:
 
 def pfd_residual(result: PfdResult, x: complex) -> float:
     """|LHS - RHS| of the decomposition identity at probe point x."""
+    if not isinstance(result, PfdResult):
+        raise DomainError(f"result must be a PfdResult, got {_shown(result)}")
     x = _check_complex("x", x)
     lhs = 1.0 + 0j
     rhs = 0j

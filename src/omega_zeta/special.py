@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, PoleError, _check_complex, _check_index, _check_real
+from .errors import DomainError, PoleError, _check_complex, _check_index, _check_real, _shown
 
 __all__ = [
     "exp_log",
@@ -30,30 +30,20 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _LOG_SQRT_TWO_PI = 0.5 * math.log(_TWO_PI)
 
-# Lanczos approximation, g = 7, 9 coefficients (standard double-precision set).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
+_LOG_PI = math.log(math.pi)
 _POLE_TOL = 1e-12
 
 
 def exp_log(lg: complex) -> complex:
     """exp(lg) for a complex logarithm; OverflowError when too large, then
-    DomainError for a nan real part or an infinite or nan imaginary part."""
+    DomainError for a nan real part or an infinite or nan imaginary part,
+    or for an lg that is not a number."""
     try:
         r = math.exp(min(lg.real, 710.0))  # exp(inf) is inf; past 709.78 exp raises
     except OverflowError:
-        raise OverflowError(f"log-magnitude {lg.real!r} exceeds double range") from None
+        raise OverflowError(f"log-magnitude {_shown(lg.real)} exceeds double range") from None
+    except (AttributeError, TypeError):  # no .real (a str, None), or not a real one
+        raise DomainError(f"lg must be a number, got {_shown(lg)}") from None
     if math.isnan(lg.real) or not math.isfinite(lg.imag):
         raise DomainError(f"exp_log needs Re lg not nan and Im lg finite, got {lg}")
     return complex(r * math.cos(lg.imag), r * math.sin(lg.imag))
@@ -73,11 +63,17 @@ def roots_of_unity(m: int) -> tuple:
     return tuple(roots)
 
 
-def _near_nonpositive_integer(z: complex) -> bool:
-    if abs(z.imag) > _POLE_TOL:
-        return False
-    k = round(z.real)
-    return k <= 0 and abs(z.real - k) <= _POLE_TOL
+def _lanczos(z: complex) -> complex:
+    """log Gamma(z) for Re z >= 0.5: the Lanczos approximation with g = 7 and
+    the standard double-precision set of 9 coefficients, summed in order."""
+    w = z - 1.0
+    x = (complex(0.99999999999980993) + 676.5203681218851 / (w + 1)
+         + -1259.1392167224028 / (w + 2) + 771.32342877765313 / (w + 3)
+         + -176.61502916214059 / (w + 4) + 12.507343278686905 / (w + 5)
+         + -0.13857109526572012 / (w + 6) + 9.9843695780195716e-6 / (w + 7)
+         + 1.5056327351493116e-7 / (w + 8))
+    t = w + 7.0 + 0.5
+    return _LOG_SQRT_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(x)
 
 
 def log_gamma(z: complex) -> complex:
@@ -90,23 +86,19 @@ def log_gamma(z: complex) -> complex:
     # A finite complex z, the hot path, is used as it is, without a call.
     if type(z) is not complex or not cmath.isfinite(z):
         z = _check_complex("z", z)
-    if _near_nonpositive_integer(z):
-        raise PoleError(f"gamma pole at z = {z}")
     if z.real < 0.5:
-        # Gamma(z) = pi / (sin(pi z) * Gamma(1 - z))
+        # Only here can z be a pole: round(Re z) <= 0.
+        if abs(z.imag) <= _POLE_TOL and abs(z.real - round(z.real)) <= _POLE_TOL:
+            raise PoleError(f"gamma pole at z = {z}")
+        # Gamma(z) = pi / (sin(pi z) * Gamma(1 - z)), Re(1 - z) > 0.5
         pi_z = math.pi * z
         if not cmath.isfinite(pi_z):
             raise OverflowError(f"log_gamma: pi*z exceeds double range at z = {z}")
-        return math.log(math.pi) - log_sin(pi_z) - log_gamma(1.0 - z)
+        return _LOG_PI - log_sin(pi_z) - _lanczos(1.0 - z)
     if z.imag == 0.0 and z.real == round(z.real) and z.real <= 171:
         # Positive integers: exact log-factorial path.
         return complex(math.lgamma(z.real))
-    w = z - 1.0
-    x = complex(_LANCZOS_COEF[0])
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        x += c / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return _LOG_SQRT_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(x)
+    return _lanczos(z)
 
 
 def gamma(z: complex) -> complex:
@@ -183,8 +175,7 @@ def log_sin(z: complex) -> complex:
     """A logarithm of sin(z), safe for large |Im z|."""
     if type(z) is not complex or not cmath.isfinite(z):
         z = _check_complex("z", z)
-    k = round(z.real / math.pi)
-    if abs(z.imag) <= _POLE_TOL and abs(z.real - k * math.pi) <= _POLE_TOL:
+    if abs(z.imag) <= _POLE_TOL and abs(z.real - round(z.real / math.pi) * math.pi) <= _POLE_TOL:
         raise PoleError(f"sin zero at z = {z}")
     if abs(z.imag) <= 20.0:
         # math.log(abs(w)), not cmath.log(w): near |w| = 1 cmath's real part

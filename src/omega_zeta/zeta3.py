@@ -18,7 +18,8 @@ import math
 from enum import Enum
 from functools import lru_cache
 
-from .accel import ConvergenceReport, PrecisionConfig, _first_terms, sum_alternating
+from .accel import (ConvergenceReport, PrecisionConfig, _default_config, _first_terms,
+                    sum_alternating)
 from .errors import DomainError, _check_index
 from .special import log_cosh, log_sin, log_sinh
 
@@ -163,7 +164,8 @@ def zeta3_series(variant: Zeta3Variant | str,
     the values and the estimates.
     """
     variant = Zeta3Variant(variant)
-    config = config or PrecisionConfig(max_terms=40)
+    if not isinstance(config, PrecisionConfig):
+        config = _default_config(config, max_terms=40)
 
     if variant is Zeta3Variant.BETA:
         rep_beta = sum_alternating(_first_terms(beta_series_term, config.max_terms),

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .accel import ConvergenceReport, PrecisionConfig, _first_terms, sum_alternating
+from .accel import (ConvergenceReport, PrecisionConfig, _default_config, _first_terms,
+                    sum_alternating)
 from .errors import _check_index
 from .unity_product import coefficient_log_parts, product_coefficient
 
@@ -42,6 +43,7 @@ def zeta_term(m: int, n: int) -> float:
 
 def zeta_via_series(m: int, config: PrecisionConfig | None = None) -> ConvergenceReport:
     """Evaluate the series for zeta(m) under the given precision config."""
-    config = config or PrecisionConfig()
+    if not isinstance(config, PrecisionConfig):
+        config = _default_config(config)
     return sum_alternating(_first_terms(zeta_term, config.max_terms, m),
                            config.method)

@@ -13,6 +13,7 @@ from omega_zeta import (
     DomainError,
     GammaProduct,
     PrecisionConfig,
+    exp_log,
     gamma,
     gamma_pair,
     gamma_pfd_series,
@@ -36,8 +37,10 @@ from omega_zeta import (
     trigamma,
     unity_gamma_product,
     unity_product_pfd,
+    zeta3_series,
     zeta_oracle,
     zeta_term,
+    zeta_via_series,
 )
 from omega_zeta.verify import run_suite
 from omega_zeta.zeta3 import inner_double_sum
@@ -86,9 +89,18 @@ _INDEX_CASES = [(f"{func}-{name}-{value!r}", partial(call, value), re.escape(mes
     (lambda: pfd_coefficients([]), "need at least one node"),
     (lambda: unity_gamma_product(3, 0.3, "gamma"), "unknown route"),
     (lambda: run_suite("bogus"), "unknown suite"),
+    (lambda: exp_log("1"), "^lg must be a number, got '1'$"),
+    (lambda: exp_log(None), "^lg must be a number, got None$"),
+    (lambda: zeta_via_series(3, "x"), "^config must be a PrecisionConfig, got 'x'$"),
+    (lambda: zeta3_series("beta", 5), "^config must be a PrecisionConfig, got 5$"),
+    (lambda: pfd_coefficients(None), "^a must be an iterable of nodes, got None$"),
+    (lambda: pfd_coefficients(5), "^a must be an iterable of nodes, got 5$"),
+    (lambda: pfd_residual(None, 1.0), "^result must be a PfdResult, got None$"),
     *((call, message) for _, call, message in _INDEX_CASES),
 ], ids=["sum_alternating", "sum_alternating-method", "sum_alternating-unhashable-method",
         "pfd_coefficients", "unity_gamma_product", "run_suite",
+        "exp_log-str", "exp_log-None", "zeta_via_series-config", "zeta3_series-config",
+        "pfd_coefficients-None", "pfd_coefficients-int", "pfd_residual-None",
         *(case_id for case_id, _, _ in _INDEX_CASES)])
 def test_invalid_input_raises_typed_error(call, message):
     with pytest.raises(DomainError, match=message):
@@ -144,6 +156,8 @@ def test_int_too_long_to_print_is_named_by_its_size():
         zeta_oracle(10 ** 5000)
     with pytest.raises(DomainError, match=r"^m must be >= 2, got an int of 16610 bits$"):
         roots_of_unity(-10 ** 5000)
+    with pytest.raises(OverflowError, match=r"^log-magnitude an int of 16610 bits exceeds double"):
+        exp_log(10 ** 5000)
 
 
 # Each of these does float arithmetic on its real argument, where a Decimal

@@ -61,6 +61,77 @@ def test_log_gamma_pole():
             log_gamma(z)
 
 
+# log_gamma as a loop over the Lanczos coefficients (g = 7) that tests for a
+# pole first and reflects by calling itself.  The library writes the sum out
+# and reflects onto the sum directly; both must agree to the bit.
+_LANCZOS_COEF = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+                 771.32342877765313, -176.61502916214059, 12.507343278686905,
+                 -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
+
+
+def _loop_log_gamma(z):
+    z = complex(z)
+    k = round(z.real)
+    if abs(z.imag) <= 1e-12 and k <= 0 and abs(z.real - k) <= 1e-12:
+        raise PoleError(f"gamma pole at z = {z}")
+    if z.real < 0.5:
+        return math.log(math.pi) - log_sin(math.pi * z) - _loop_log_gamma(1.0 - z)
+    if z.imag == 0.0 and z.real == round(z.real) and z.real <= 171:
+        return complex(math.lgamma(z.real))
+    w = z - 1.0
+    x = complex(_LANCZOS_COEF[0])
+    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
+        x += c / (w + i)
+    t = w + 7.0 + 0.5
+    return 0.5 * math.log(2.0 * math.pi) + (w + 0.5) * cmath.log(t) - t + cmath.log(x)
+
+
+def _hex_or_error(fn, z):
+    try:
+        value = fn(z)
+    except PoleError as exc:
+        return "PoleError", str(exc)
+    return value.real.hex(), value.imag.hex()
+
+
+def _log_gamma_grid():
+    rng = random.Random(34)
+    grid = [complex(rng.uniform(0.5, 200.0), rng.uniform(-200.0, 200.0)) for _ in range(400)]
+    grid += [float(n) for n in range(1, 400)]  # exact integers <= 171 and > 171
+    grid += [complex(n, -0.0) for n in range(1, 200, 7)]
+    for sign in (1.0, -1.0):
+        # Reflection with |Im pi z| <= 20 (sin directly) and > 20 (its exponential form).
+        grid += [complex(rng.uniform(-60.0, 0.5), sign * rng.uniform(0.0, 20.0 / math.pi))
+                 for _ in range(200)]
+        grid += [complex(rng.uniform(-60.0, 0.5), sign * rng.uniform(20.0 / math.pi, 100.0))
+                 for _ in range(200)]
+    return grid
+
+
+def test_log_gamma_bit_identical_to_loop_and_recursion():
+    for z in _log_gamma_grid():
+        assert _hex_or_error(log_gamma, z) == _hex_or_error(_loop_log_gamma, z), z
+    for k in range(0, 60, 3):
+        # Pole edges: 0.9e-12 from -k raises, 1.1e-12 from it returns the loop's value.
+        for d in (0.9e-12, -0.9e-12, 0.9e-12j, -0.9e-12j):
+            with pytest.raises(PoleError, match="gamma pole"):
+                log_gamma(-k + d)
+        for d in (1.1e-12, -1.1e-12, 1.1e-12j, -1.1e-12j):
+            assert _hex_or_error(log_gamma, -k + d) == _hex_or_error(_loop_log_gamma, -k + d)
+
+
+def test_log_sin_pole_edges():
+    # kpi +- 0.9e-12 is a zero of sin; 1.1e-12 from it gives the direct form's value.
+    for k in range(-20, 21):
+        for d in (0.9e-12, -0.9e-12, 0.9e-12j, -0.9e-12j):
+            with pytest.raises(PoleError, match="sin zero"):
+                log_sin(k * math.pi + d)
+        for d in (1.1e-12, -1.1e-12, 1.1e-12j, -1.1e-12j):
+            z = k * math.pi + d
+            w = cmath.sin(z)
+            assert _hex_or_error(log_sin, z) == (math.log(abs(w)).hex(), cmath.phase(w).hex())
+
+
 def test_gamma_values():
     assert _rel(gamma(0.5), math.sqrt(math.pi)) < 1e-14
     assert _rel(gamma(-0.5), -2 * math.sqrt(math.pi)) < 1e-13
