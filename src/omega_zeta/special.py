@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+from functools import lru_cache
 
 from .errors import DomainError, PoleError, _check_complex, _check_index, _check_real, _shown
 
@@ -31,6 +33,8 @@ _TWO_PI = 2.0 * math.pi
 _LOG_SQRT_TWO_PI = 0.5 * math.log(_TWO_PI)
 
 _LOG_PI = math.log(math.pi)
+_HALF_PI = 0.5 * math.pi
+_LOG_HALF = math.log(0.5)
 _POLE_TOL = 1e-12
 
 
@@ -52,6 +56,11 @@ def exp_log(lg: complex) -> complex:
 def roots_of_unity(m: int) -> tuple:
     """All m-th roots of unity, as a tuple with [j] = exp(2*pi*i*j/m)."""
     _check_index("m", m, 2)
+    return _roots_of_unity(operator.index(m))
+
+
+@lru_cache(maxsize=8)  # one zeta(m) asks for its m at every term; a sweep of m keeps 8
+def _roots_of_unity(m: int) -> tuple:
     roots = []
     for j in range(m):
         # Snap the axis-aligned roots to exact values.
@@ -99,6 +108,16 @@ def log_gamma(z: complex) -> complex:
         # Positive integers: exact log-factorial path.
         return complex(math.lgamma(z.real))
     return _lanczos(z)
+
+
+def _log_gamma_real(z: complex) -> float:
+    """log_gamma(z).real, bit for bit, for the sums of `coefficient_log_parts`:
+    off the real axis it reflects on real parts, with no phase of sin(pi z)."""
+    if z.real >= 0.5 or abs(z.imag) <= _POLE_TOL or not cmath.isfinite(pi_z := math.pi * z):
+        return log_gamma(z).real
+    y = abs(pi_z.imag)  # > 1e-12, so sin(pi z) is no zero; log_sin(pi_z).real is
+    log_abs_sin = math.log(abs(cmath.sin(pi_z))) if y <= 20.0 else y + _LOG_HALF
+    return _LOG_PI - log_abs_sin - _lanczos(1.0 - z).real
 
 
 def gamma(z: complex) -> complex:
@@ -172,7 +191,11 @@ def trigamma(x: float) -> float:
 
 
 def log_sin(z: complex) -> complex:
-    """A logarithm of sin(z), safe for large |Im z|."""
+    """A logarithm of sin(z), safe for large |Im z|.
+
+    Past |Im z| = 20 it is |Im z| - log 2 + i(pi/2 - Re z), conjugated for Im z < 0:
+    sin z = e^{-iz} (e^{2iz} - 1) / (2i) in doubles gives exactly that, since
+    |e^{2iz}| < e^{-40} < 2^-54 rounds e^{2iz} - 1 to -1, whose log over 2i is log(1/2) + i pi/2."""
     if type(z) is not complex or not cmath.isfinite(z):
         z = _check_complex("z", z)
     if abs(z.imag) <= _POLE_TOL and abs(z.real - round(z.real / math.pi) * math.pi) <= _POLE_TOL:
@@ -182,11 +205,8 @@ def log_sin(z: complex) -> complex:
         # can differ from it by an ulp, and real-valued series are built on it.
         w = cmath.sin(z)
         return complex(math.log(abs(w)), cmath.phase(w))
-    if z.imag < 0:
-        return log_sin(z.conjugate()).conjugate()
-    # sin z = e^{-iz} (e^{2iz} - 1) / (2i); |e^{2iz}| = e^{-2 Im z} is tiny.
-    rest = cmath.log((cmath.exp(2j * z) - 1.0) / 2j)
-    return complex(z.imag + rest.real, -z.real + rest.imag)
+    im = _HALF_PI - z.real
+    return complex(abs(z.imag) + _LOG_HALF, im if z.imag > 0 else -im)
 
 
 def log_sinh(x: float) -> float:

@@ -24,7 +24,7 @@ import math
 from .accel import AccelerationMethod, ConvergenceReport
 from .errors import DomainError, PoleError, _check_complex, _check_index
 from .oracle import tail_power_sum, zeta_oracle
-from .special import _log_power_tail, exp_log, log_gamma, roots_of_unity
+from .special import _log_gamma_real, _log_power_tail, exp_log, log_gamma, roots_of_unity
 
 __all__ = [
     "TruncatedProduct",
@@ -143,7 +143,7 @@ def coefficient_log_parts(m: int, n: int) -> float:
         return 0.0
     log_mag = 0.0
     for w in roots_of_unity(m)[1:]:
-        log_mag += log_gamma(1.0 - w * n).real
+        log_mag += _log_gamma_real(1.0 - w * n)
     return log_mag - math.lgamma(n + 1.0)
 
 

@@ -23,6 +23,7 @@ from omega_zeta import (
     trigamma,
     unity_gamma_product,
 )
+from omega_zeta.special import _log_gamma_real, _roots_of_unity
 
 mp.mp.dps = 30
 
@@ -61,6 +62,17 @@ def test_log_gamma_pole():
             log_gamma(z)
 
 
+# log_sin with its far branch (|Im z| > 20) through e^{2iz}, as exp and log
+# evaluate it; the library's closed form must agree with it to the bit.
+def _exp_log_sin(z):
+    if abs(z.imag) <= 20.0:
+        return log_sin(z)
+    if z.imag < 0:
+        return _exp_log_sin(z.conjugate()).conjugate()
+    rest = cmath.log((cmath.exp(2j * z) - 1.0) / 2j)
+    return complex(z.imag + rest.real, -z.real + rest.imag)
+
+
 # log_gamma as a loop over the Lanczos coefficients (g = 7) that tests for a
 # pole first and reflects by calling itself.  The library writes the sum out
 # and reflects onto the sum directly; both must agree to the bit.
@@ -75,7 +87,7 @@ def _loop_log_gamma(z):
     if abs(z.imag) <= 1e-12 and k <= 0 and abs(z.real - k) <= 1e-12:
         raise PoleError(f"gamma pole at z = {z}")
     if z.real < 0.5:
-        return math.log(math.pi) - log_sin(math.pi * z) - _loop_log_gamma(1.0 - z)
+        return math.log(math.pi) - _exp_log_sin(math.pi * z) - _loop_log_gamma(1.0 - z)
     if z.imag == 0.0 and z.real == round(z.real) and z.real <= 171:
         return complex(math.lgamma(z.real))
     w = z - 1.0
@@ -118,6 +130,78 @@ def test_log_gamma_bit_identical_to_loop_and_recursion():
                 log_gamma(-k + d)
         for d in (1.1e-12, -1.1e-12, 1.1e-12j, -1.1e-12j):
             assert _hex_or_error(log_gamma, -k + d) == _hex_or_error(_loop_log_gamma, -k + d)
+
+
+def _far_branch_grid():
+    """Points at and past |Im z| = 20 (and just below it), both signs of Im z,
+    Re z = +-0.0, near +-pi/2 and up to |Re z| = 1e4."""
+    rng = random.Random(35)
+    ims = [20.0, math.nextafter(20.0, math.inf), 20.5, 1e8, math.nextafter(1e8, 0.0)]
+    ims += [rng.uniform(19.0, 21.0) for _ in range(300)]
+    ims += [10.0 ** rng.uniform(math.log10(21.0), 8.0) for _ in range(300)]
+    res = [0.0, -0.0, math.pi / 2, -math.pi / 2, 1.0, -3.0, 1e4, -1e4]
+    grid = []
+    for y in ims:
+        for x in res + [rng.uniform(-4.0, 4.0), rng.uniform(-1e4, 1e4)]:
+            grid += [complex(x, y), complex(x, -y)]
+    return grid
+
+
+def test_log_sin_far_branch_bit_identical_to_exp_log():
+    for z in _far_branch_grid():
+        assert _hex_or_error(log_sin, z) == _hex_or_error(_exp_log_sin, z), z
+
+
+def test_log_gamma_reflected_far_branch_bit_identical():
+    # Reflection takes log_sin(pi z): Im z past 20/pi reaches its far branch.
+    rng = random.Random(36)
+    grid = [complex(-0.0, y / math.pi) for y in (20.0, 20.0000001, 21.0, 1e3, 1e8)]
+    grid += [complex(rng.uniform(-1e4, 0.5) / math.pi, rng.choice((1, -1)) * y / math.pi)
+             for y in [rng.uniform(19.0, 21.0) for _ in range(300)]
+             + [10.0 ** rng.uniform(1.3, 8.0) for _ in range(300)]]
+    for z in grid:
+        assert _hex_or_error(log_gamma, z) == _hex_or_error(_loop_log_gamma, z), z
+
+
+def test_far_branch_past_twice_the_double_range():
+    # e^{2iz} cannot be formed once 2 Re z overflows (cmath raises a bare
+    # ValueError); the closed form needs no 2 Re z.  Gamma there is far below
+    # the double range.
+    assert log_sin(1e308 + 30j) == complex(30.0 + math.log(0.5), math.pi / 2 - 1e308)
+    assert log_sin(1e308 - 30j) == complex(30.0 + math.log(0.5), 1e308 - math.pi / 2)
+    assert log_gamma(-5e307 + 30j).real == -math.inf
+    assert gamma(-5e307 + 30j) == 0j
+    assert gamma(-5e307 - 30j) == 0j
+
+
+def _hex_or_error_type(fn, z):
+    try:
+        value = fn(z)
+    except (PoleError, OverflowError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    return value.real.hex()
+
+
+def test_log_gamma_real_is_log_gamma_real_part_to_the_bit():
+    rng = random.Random(37)
+    grid = _log_gamma_grid()
+    grid += [complex(rng.uniform(-1e4, 0.5), rng.choice((1, -1)) * 10.0 ** rng.uniform(-11.9, 7.0))
+             for _ in range(600)]
+    # On or near the real axis (integers, |Im z| <= 1e-12), non-finite, past the range of pi z.
+    grid += [complex(-2.5, 1e-13), complex(-2.5, -0.0), complex(0.25, 1e-12), complex(3.0, 0.0),
+             complex(-1e308, 1.0), complex(math.nan, 1.0), complex(-math.inf, 1.0),
+             complex(0.0, math.inf)]
+    grid += [1.0 - w * n for m in (3, 7, 60, 160) for w in roots_of_unity(m)[1:]
+             for n in (2, 17, 129)]
+    for z in grid:
+        expected = _hex_or_error_type(lambda z: log_gamma(z).real, z)
+        assert _hex_or_error_type(_log_gamma_real, z) == expected, z
+    for k in range(0, 60, 3):
+        for d in (0.9e-12, -0.9e-12, 0.9e-12j, -0.9e-12j):
+            with pytest.raises(PoleError, match=re.escape(f"gamma pole at z = {complex(-k + d)}")):
+                _log_gamma_real(complex(-k + d))
+        for d in (1.1e-12, -1.1e-12, 1.1e-12j, -1.1e-12j):
+            assert _log_gamma_real(complex(-k + d)).hex() == log_gamma(-k + d).real.hex()
 
 
 def test_log_sin_pole_edges():
@@ -210,6 +294,23 @@ def test_roots_of_unity_exact_cases():
     assert abs(r3[2] - complex(-0.5, -math.sqrt(3) / 2)) < 1e-15
     with pytest.raises(DomainError):
         roots_of_unity(1)
+
+
+def test_roots_of_unity_memo_is_bounded_and_faithful():
+    _roots_of_unity.cache_clear()
+    bound = _roots_of_unity.cache_info().maxsize
+    for m in range(3, 2001):
+        roots = roots_of_unity(m)
+        assert _roots_of_unity.cache_info().currsize <= bound
+    assert roots is roots_of_unity(2000)
+    for m in (2, 3, 7, 60, 2000):
+        fresh = _roots_of_unity.__wrapped__(m)
+        assert [(w.real.hex(), w.imag.hex()) for w in roots_of_unity(m)] == \
+            [(w.real.hex(), w.imag.hex()) for w in fresh]
+    _roots_of_unity.cache_clear()
+    assert _roots_of_unity.cache_info().currsize == 0
+    with pytest.raises(DomainError, match="m must be an integer"):
+        roots_of_unity([3])
 
 
 @pytest.mark.parametrize("m", list(range(2, 65)))

@@ -12,6 +12,7 @@ from omega_zeta import (
     GammaProduct,
     PoleError,
     TruncatedProduct,
+    log_gamma,
     product_coefficient,
     series_coefficient,
     unity_gamma_product,
@@ -229,3 +230,17 @@ def test_exp_zeta_route_converges_at_the_edge_of_its_domain(z):
     with mp.workdps(40):
         ref = mp.pi * mp.mpc(z) / mp.sin(mp.pi * mp.mpc(z))
     assert float(abs(v - ref) / abs(ref)) <= 1e-13
+
+
+def test_coefficient_log_parts_bit_identical_to_a_log_gamma_loop():
+    # log|lambda_n| as the plain sum of log_gamma(1 - w n).real over roots
+    # computed afresh (not from the roots memo) must keep every bit.
+    for m in range(3, 161):
+        roots = [(1 + 0j, 1j, -1 + 0j, -1j)[4 * j // m % 4] if 4 * j % m == 0
+                 else cmath.exp(2j * math.pi * j / m) for j in range(1, m)]
+        for n in range(2, 130):
+            log_mag = 0.0
+            for w in roots:
+                log_mag += log_gamma(1.0 - w * n).real
+            expected = log_mag - math.lgamma(n + 1.0)
+            assert coefficient_log_parts(m, n).hex() == expected.hex(), (m, n)
