@@ -33,7 +33,6 @@ _TWO_PI = 2.0 * math.pi
 _LOG_SQRT_TWO_PI = 0.5 * math.log(_TWO_PI)
 
 _LOG_PI = math.log(math.pi)
-_HALF_PI = 0.5 * math.pi
 _LOG_HALF = math.log(0.5)
 _POLE_TOL = 1e-12
 
@@ -193,9 +192,10 @@ def trigamma(x: float) -> float:
 def log_sin(z: complex) -> complex:
     """A logarithm of sin(z), safe for large |Im z|.
 
-    Past |Im z| = 20 it is |Im z| - log 2 + i(pi/2 - Re z), conjugated for Im z < 0:
-    sin z = e^{-iz} (e^{2iz} - 1) / (2i) in doubles gives exactly that, since
-    |e^{2iz}| < e^{-40} < 2^-54 rounds e^{2iz} - 1 to -1, whose log over 2i is log(1/2) + i pi/2."""
+    Past |Im z| = 20, sin z = e^{|Im z|}/2 (sin x + i cos x), x = Re z, conjugated
+    for Im z < 0, up to a relative e^{-40} < 2^-54: its real part is
+    |Im z| - log 2, as e^{-iz} (e^{2iz} - 1) / (2i) gives it in doubles, and its
+    phase atan2(cos x, sin x), which libm reduces exactly for any finite x."""
     if type(z) is not complex or not cmath.isfinite(z):
         z = _check_complex("z", z)
     if abs(z.imag) <= _POLE_TOL and abs(z.real - round(z.real / math.pi) * math.pi) <= _POLE_TOL:
@@ -205,7 +205,7 @@ def log_sin(z: complex) -> complex:
         # can differ from it by an ulp, and real-valued series are built on it.
         w = cmath.sin(z)
         return complex(math.log(abs(w)), cmath.phase(w))
-    im = _HALF_PI - z.real
+    im = math.atan2(math.cos(z.real), math.sin(z.real))
     return complex(abs(z.imag) + _LOG_HALF, im if z.imag > 0 else -im)
 
 

@@ -73,3 +73,26 @@ def test_replay_diff_counts_each_kind_of_change(tmp_path):
         ("series-long", "zeta"): ["2", "1", "1", "1", "2.2e-16", "0", "0"],
     }
     assert out.splitlines()[0].startswith("| workload | kind | calls |")
+
+
+def test_replay_diff_holds_moved_values_against_mpmath(tmp_path):
+    # zeta(3) moves from 2 ulps above its reference (rounded to a double) to
+    # 1; phi(2, 0.5) = pi/2 moves from the nearest double to the next one up.
+    base, head = tmp_path / "base.txt", tmp_path / "head.txt"
+    zeta = 'unity-cold 1000 0 0 ["zeta", 3, 64, "none", 1e-12, true] {} 0x0.0p+0 0x1.0p-50'
+    phi = 'unity-cold 1000 0 1 ["phi", 2, 0.5, 0.0, "gamma"] {} 0x0.0p+0 -'
+    base.write_text(zeta.format("0x1.33ba004f00623p+0") + "\n"
+                    + phi.format("0x1.921fb54442d18p+0") + "\n")
+    head.write_text(zeta.format("0x1.33ba004f00622p+0") + "\n"
+                    + phi.format("0x1.921fb54442d19p+0") + "\n")
+    out = subprocess.run([sys.executable, str(SCRIPT), str(base), str(head), "--reference"],
+                         capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0].endswith("| moved toward ref | moved away | worst moved error (rel) |")
+    rows = {tuple(cells[:2]): [cells[3], *cells[-3:]] for cells in
+            ([c.strip() for c in line.strip("|").split("|")] for line in lines[2:])}
+    # value moved, toward, away, worst error base -> head
+    assert rows == {
+        ("unity-cold", "phi"): ["1", "0", "1", "0 → 1.4e-16"],
+        ("unity-cold", "zeta"): ["1", "1", "0", "3.7e-16 → 1.8e-16"],
+    }

@@ -18,7 +18,7 @@ from omega_zeta import (
     unity_gamma_product,
     unity_product_pfd,
 )
-from omega_zeta.unity_product import coefficient_log_parts
+from omega_zeta.unity_product import _log_truncated_product, coefficient_log_parts
 
 ROUTES = (TruncatedProduct(), GammaProduct(), ExpZetaSeries())
 
@@ -66,12 +66,13 @@ def test_pole_and_domain_errors():
         unity_gamma_product(3, 0.97, ExpZetaSeries())
     with pytest.raises(DomainError):
         unity_gamma_product(1, 0.5, GammaProduct())
-    # The truncated route's tail diverges beyond its 1000 factors, and just
-    # inside them it cannot reach double precision in 400 powers.
+    # The truncated route serves |z| < 1001; just inside, at 2002 factors,
+    # its tail converges and the value is pi z/sin(pi z).
     with pytest.raises(DomainError):
         unity_gamma_product(2, 1200.5 + 0.5j, TruncatedProduct())
-    with pytest.raises(DomainError, match="does not converge"):
-        unity_gamma_product(2, 1000.9, TruncatedProduct())
+    z = 1000.9
+    ref = complex(mp.pi * z / mp.sin(mp.pi * z))
+    assert abs(unity_gamma_product(2, z, TruncatedProduct()) - ref) <= 1e-10 * abs(ref)
     with pytest.raises(DomainError, match=r"^z must be a finite number, got \(nan\+0j\)$"):
         unity_gamma_product(3, complex(math.nan, 0), GammaProduct())
     for z in (complex(math.nan, 0), complex(0.2, math.nan)):
@@ -201,6 +202,37 @@ def test_truncated_product_beyond_float_range_of_n_to_the_m(m):
         ref = unity_gamma_product(m, z, GammaProduct())
         v = unity_gamma_product(m, z, TruncatedProduct())
         assert abs(v - ref) <= 1e-9 * abs(ref)
+
+
+def _phi_reference(m, z):
+    # log prod_j Gamma(1 - w^j z) = sum_k zeta(mk) z^(mk)/k for |z| < 1
+    with mp.workdps(40):
+        zm = mp.mpc(z.real, z.imag) ** m
+        return complex(mp.exp(mp.nsum(lambda k: mp.zeta(m * k) * zm ** k / k, [1, mp.inf])))
+
+
+def test_truncated_product_within_an_ulp_or_two_on_the_unit_disc():
+    # N = max(2|z|, 4) factors: 1000 fixed factors left 3e-14 here.
+    rng = random.Random(36)
+    for i in range(70):
+        m = (3, 4, 5, 8, 20, 60, 100)[i % 7]
+        z = cmath.rect(0.9 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+        ref = _phi_reference(m, z)
+        assert abs(unity_gamma_product(m, z, TruncatedProduct()) - ref) <= 1e-15 * abs(ref), (m, z)
+
+
+@pytest.mark.parametrize("m", [3, 4, 8])
+def test_truncated_product_converges_up_to_its_domain_edge(m):
+    # With 1000 fixed factors the tail gave up ("does not converge") from
+    # |z| of about 700; N >= 2|z| keeps its ratio below 1/2.
+    with mp.workdps(40):
+        for r in (100.37, 400.37, 700.37, 850.37, 1000.37):
+            z = cmath.rect(r, 0.05)
+            ref = mp.fsum(mp.re(mp.loggamma(1 - mp.expjpi(mp.mpf(2 * j) / m) * mp.mpc(z)))
+                          for j in range(m))
+            log_mag = _log_truncated_product(m, z, math.ceil(2 * r)).real
+            assert abs(log_mag - ref) <= 1e-12 * abs(ref), (m, r)
+            unity_gamma_product(m, z, TruncatedProduct())
 
 
 def test_truncated_product_tail_beyond_first_order():
