@@ -19,7 +19,7 @@ import math
 
 from .accel import AccelerationMethod, ConvergenceReport, _method, sum_alternating
 from .errors import DomainError, PoleError, _check_complex, _check_index, _check_real
-from .special import _log_power_tail, exp_log, log_gamma
+from .special import _POLE_DIST, _log_truncated_product, exp_log, log_gamma
 
 __all__ = [
     "gamma_pair",
@@ -27,8 +27,6 @@ __all__ = [
     "gamma_pfd_series",
     "inverse_square_series",
 ]
-
-_POLE_DIST = 1e-8
 
 
 def _log_ratio(c, d, e, k):
@@ -113,19 +111,9 @@ def modulus_product(a: float, z: complex, n_factors: int) -> complex:
     _check_index("n_factors", n_factors, 1)
     a = _check_real("a", a)
     z = _check_complex("z", z)
-    z2 = z * z
-    logs = []
-    for k in range(1, n_factors + 1):
-        den = a - 1.0 + k
-        factor = 1.0 - z2 / (den * den) if den else 0.0
-        if abs(factor) <= _POLE_DIST:
-            raise PoleError(f"z = {z} hits pole at a-1+{k}")
-        logs.append(-cmath.log(factor))
     if not abs(z) < a + n_factors:
         raise DomainError(f"need |z| < a + n_factors = {a + n_factors:.6g}, got |z| = {abs(z):.4g}")
-    # N logarithms, added one by one, would round N times
-    log_prod = complex(math.fsum(t.real for t in logs), math.fsum(t.imag for t in logs))
-    return cmath.exp(_log_power_tail(z, 2, a + n_factors, log_prod))
+    return cmath.exp(_log_truncated_product(z, 2, a - 1.0, n_factors))
 
 
 @_within_double_range

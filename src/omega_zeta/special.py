@@ -1,6 +1,6 @@
 """Complex special functions: log-gamma, gamma, trigamma, roots of
-unity, log-space trigonometric/hyperbolic helpers, and the one Hurwitz
-sum behind trigamma, the oracle and the truncated products' tails.
+unity, log-space trigonometric/hyperbolic helpers, the one Hurwitz sum
+behind trigamma, the oracle and the tail of the one truncated product.
 
 Everything works in double precision.  Products of gamma values whose
 magnitudes exceed the floating-point range are formed as sums of plain
@@ -35,6 +35,7 @@ _LOG_SQRT_TWO_PI = 0.5 * math.log(_TWO_PI)
 _LOG_PI = math.log(math.pi)
 _LOG_HALF = math.log(0.5)
 _POLE_TOL = 1e-12
+_POLE_DIST = 1e-8  # how near a pole of the products and series counts as on it
 
 
 def exp_log(lg: complex) -> complex:
@@ -154,31 +155,66 @@ def _hurwitz(p: float, x: float) -> float:
     return total
 
 
-def _log_power_tail(x: complex, m: int, y: float, total: complex) -> complex:
-    """total + sum_{j>=1} x^(mj)/j * zeta(mj, y), a logarithm of the tail
-    prod_{k>=0} 1/(1 - (x/(y+k))^m) of a truncated product, for |x| < y;
-    DomainError where it cannot reach double precision in 400 powers."""
+def _log_truncated_product(x: complex, m: int, shift: float, n_factors: int,
+                           skip: int = 0) -> complex:
+    """A logarithm of prod_{k >= 1, k != skip} 1/(1 - (x/s)^m), s = shift + k:
+    the N = n_factors factor logarithms, summed with fsum part by part, and
+    the tail sum_j x^(mj)/j zeta(mj, y), y = shift + N + 1 > |x|.  PoleError
+    where some s = 0 or |1 - (x/s)^m| <= _POLE_DIST, DomainError where the
+    tail cannot reach double precision in 400 powers.  For a real x every
+    factor is real, and the phase is pi times the parity of the negative ones,
+    not a sum of as many roundings of pi.
+
+    Shift 0 serves the `TruncatedProduct` route, whose N = max(ceil(2|x|), 4)
+    keeps |x|/y below 1/2, so that the tail's j-th power is below
+    2^(-mj) (1 + y/(mj - 1))/j, negligible well before the 400-power cap or the
+    underflow stop; and, skipping the pole s = n, the residue lambda_n of
+    `product_coefficient`.  Shift a - 1 at m = 2 serves `modulus_product`.
+    `ExpZetaSeries` is the tail at N = 0 but keeps its own loop over
+    `zeta_oracle`: the routes share only the Hurwitz sum, which `verify`
+    checks against closed forms.
+    """
+    if shift + (n_factors + 1) < 1.0:  # zeta(p, y) > y^-p would leave the double range
+        n_factors += 1
+    y = shift + (n_factors + 1)
+    if shift == round(shift) and 0 < -shift <= n_factors:
+        raise PoleError(f"z = {x} hits pole at s = {shift:g} + {-shift:g} = 0")
+    # w = (x/s)^m overflows for |s| <= |x| e^(-700/m), that is for k in (lo, hi].
+    bound = abs(x) * math.exp(-700.0 / m)
+    lo = min(n_factors, max(0, math.floor(-bound - shift)))
+    hi = max(lo, min(n_factors, math.floor(bound - shift)))
+    # (x/s)^m, not x^m/s^m: s^m overflows a float from m = 103.
+    factors = [1.0 - (x / (shift + k)) ** m
+               for k in (*range(1, lo + 1), *range(hi + 1, n_factors + 1)) if k != skip]
+    if min(map(abs, factors)) <= _POLE_DIST:
+        raise PoleError(f"z = {x} hits pole at some s = {shift:g} + k, k <= {n_factors}")
+    logs = list(map(cmath.log, factors))
+    # Past the bound log(1 - w) = log w + log(1/w - 1) up to 2 pi i, which exp ignores.
+    for k in range(lo + 1, hi + 1):
+        log_w = m * cmath.log(x / (shift + k))
+        logs.append(log_w + cmath.log(cmath.exp(-log_w) - 1.0))
+    total = -complex(math.fsum([t.real for t in logs]), math.fsum([t.imag for t in logs]))
     if not x:
         return total
-    if y < 1.0:  # zeta(p, y) > y^-p would leave the double range
-        total -= cmath.log(1.0 - (x / y) ** m)
-        y += 1.0
     log_x = cmath.log(x)
-    for j in range(1, 400):
+    for j in range(1, 400):  # each path through the loop sets `converged`
         p = m * j
         power_sum = _hurwitz(p, y)
         if power_sum < 1e-300:
             # Near underflow the power sum loses its digits: stop only where its
             # bound y^-p (1 + y/(p-1)) times |x|^p is negligible (later ones are less).
-            if p * (log_x.real - math.log(y)) + math.log1p(y / (p - 1)) < math.log(1e-17):
-                return total
+            converged = p * (log_x.real - math.log(y)) + math.log1p(y / (p - 1)) < math.log(1e-17)
             break
         term = exp_log(p * log_x + math.log(power_sum)) / j
         total += term
-        if abs(term) < 1e-17:
-            return total
-    raise DomainError(f"the tail sum_j z^(mj)/j zeta(mj, {y:.6g}) does not converge "
-                      f"in 400 powers at |z| = {abs(x):.4g}")
+        if converged := abs(term) < 1e-17:
+            break
+    if not converged:
+        raise DomainError(f"the tail sum_j z^(mj)/j zeta(mj, {y:.6g}) does not converge "
+                          f"in 400 powers at |z| = {abs(x):.4g}")
+    if not x.imag:
+        return complex(total.real, -math.pi * (round(total.imag / math.pi) % 2))
+    return total
 
 
 def trigamma(x: float) -> float:

@@ -7,18 +7,7 @@ and the rearranged partial-fraction series.  The coefficients are plain
 floats: the gamma closed form (`series_coefficient`) sums only the real
 parts of its log-gammas and takes the sign (-1)^n from the formula.
 
-One truncated product, `_log_truncated_product`, serves the
-`TruncatedProduct` route and the residue lambda_n = -(1/m) prod_{s != n}
-1/(1 - (n/s)^m) of `product_coefficient`.  It sums its N factor logarithms
-with fsum, real and imaginary parts apart, as `modulus_product` does; its
-tail sum_k x^(mk)/k zeta(mk, N + 1) is `special._log_power_tail`, as
-`modulus_product`'s is.  The route takes N = max(ceil(2|z|), 4), so the
-tail's ratio |z|/(N + 1) stays below 1/2: its j-th power is below
-2^(-mj) (1 + (N + 1)/(mj - 1))/j, negligible well before the 400-power cap
-or the tail's underflow stop.
-`ExpZetaSeries` is that tail at N = 0 but keeps its own loop over
-`zeta_oracle`: the routes share only the Hurwitz sum, which `verify`
-checks against closed forms.
+The `TruncatedProduct` route and `product_coefficient` share `special._log_truncated_product`.
 """
 
 from __future__ import annotations
@@ -29,7 +18,8 @@ import math
 from .accel import AccelerationMethod, ConvergenceReport
 from .errors import DomainError, PoleError, _check_complex, _check_index
 from .oracle import tail_power_sum, zeta_oracle
-from .special import _log_gamma_real, _log_power_tail, exp_log, log_gamma, roots_of_unity
+from .special import (_POLE_DIST, _log_gamma_real, _log_truncated_product, exp_log, log_gamma,
+                      roots_of_unity)
 
 __all__ = [
     "TruncatedProduct",
@@ -41,7 +31,6 @@ __all__ = [
     "unity_product_pfd",
 ]
 
-_POLE_DIST = 1e-8
 # Fewest factors of the truncated-product route: over |z| <= 0.9 the time is
 # flat in it from 1 to 16, and 4 leaves the least error (3.3e-16 relative).
 _N_MIN = 4
@@ -72,27 +61,6 @@ def _check_pole_distance(m: int, z: complex):
         raise PoleError(f"z = {z} within tolerance of a product pole")
 
 
-def _log_truncated_product(m: int, x: complex, n_factors: int,
-                           skip: int = 0) -> complex:
-    """A logarithm of prod_{s >= 1, s != skip} 1/(1 - (x/s)^m): the factors
-    s <= N = n_factors, summed with fsum part by part, and the power-sum
-    tail, which needs |x| < N + 1.  `skip` is 0 or the pole s = x that a
-    residue leaves out."""
-    # w = (x/s)^m overflows for s <= |x| e^(-700/m).  There
-    # log(1 - w) = log w + log(1/w - 1) up to 2 pi i, which exp ignores.
-    n_over = int(abs(x) * math.exp(-700.0 / m))
-    logs = []
-    for s in range(1, n_over + 1):
-        log_w = m * cmath.log(x / s)
-        logs.append(log_w + cmath.log(cmath.exp(-log_w) - 1.0))
-    # (x/s)^m, not x^m/s^m: s^m overflows a float from m = 103.
-    logs += [cmath.log(1.0 - (x / s) ** m)
-             for s in range(n_over + 1, n_factors + 1) if s != skip]
-    log_prod = -complex(math.fsum([t.real for t in logs]),
-                        math.fsum([t.imag for t in logs]))
-    return _log_power_tail(x, m, n_factors + 1.0, log_prod)
-
-
 def unity_gamma_product(m: int, z: complex, route) -> complex:
     """Evaluate the product by the requested route."""
     _check_index("m", m, 2)
@@ -112,9 +80,8 @@ def unity_gamma_product(m: int, z: complex, route) -> complex:
             raise DomainError(
                 f"truncated-product route needs |z| < 1001, got |z| = {abs(z):.4g}"
             )
-        # N >= 2|z| keeps the tail's ratio |z|/(N + 1) below 1/2
         n_factors = max(math.ceil(2.0 * abs(z)), _N_MIN)
-        return cmath.exp(_log_truncated_product(m, z, n_factors))
+        return cmath.exp(_log_truncated_product(z, m, 0.0, n_factors))
 
     if isinstance(route, ExpZetaSeries):
         if abs(z) > 0.95:
@@ -170,7 +137,7 @@ def product_coefficient(m: int, n: int) -> float:
     # lambda_n = -(1/m) prod_{s != n} 1/(1 - (n/s)^m), whose n - 1 factors
     # with s < n are negative: the sign is (-1)^n.
     sign = -1 if n % 2 else 1
-    return sign * math.exp(_log_truncated_product(m, n, 8 * n, skip=n).real) / m
+    return sign * math.exp(_log_truncated_product(n, m, 0.0, 8 * n, skip=n).real) / m
 
 
 def unity_product_pfd(m: int, z: complex, n_terms: int) -> ConvergenceReport:

@@ -90,6 +90,37 @@ def test_modulus_product_adds_its_factor_logarithms_exactly(a, z):
         assert abs(modulus_product(a, z, 1000) - ref) <= 3e-15 * abs(ref)
 
 
+@pytest.mark.parametrize("a", [-2.5, -1.3])
+@pytest.mark.parametrize("n_factors", [1, 10, 1000])
+def test_modulus_product_with_negative_first_shifts(a, n_factors):
+    # a < -1: the first s = a - 1 + k of the shared truncated-product kernel
+    # are negative.  At N = 1 the tail's y = a + N is below |z|, and
+    # a + z = -1 at (-1.3, 0.3) is a pole of Gamma(a + z).
+    with mp.workdps(40):
+        for z in (0.3, 0.2 + 0.4j):
+            if not abs(z) < a + n_factors:
+                with pytest.raises(DomainError, match="need"):
+                    modulus_product(a, z, n_factors)
+            elif (a, z) == (-1.3, 0.3):
+                with pytest.raises(PoleError, match="hits pole"):
+                    modulus_product(a, z, n_factors)
+            else:
+                ref = _gamma_pair_ratio(a, z)
+                assert abs(modulus_product(a, z, n_factors) - ref) <= 1e-14 * abs(ref), z
+
+
+@pytest.mark.parametrize("a, z", [(1.0, 50.5), (2.5, 30.2)])
+def test_modulus_product_of_a_real_z_past_many_factors_is_real(a, z):
+    # The factors with a - 1 + k < z are negative: the phase is pi times the
+    # parity of their count (50 and 28 here), not an fsum of as many fl(pi),
+    # which left an imaginary part of 1.6e-13 and 6.3e-9.
+    v = modulus_product(a, z, 1000)
+    with mp.workdps(40):
+        ref = _gamma_pair_ratio(a, z).real
+        assert v.imag == 0.0
+        assert abs(v.real - ref) <= 1e-14 * abs(ref)
+
+
 def test_modulus_product_tail_from_below_one():
     # a + N = 0.01: zeta(2j, 0.01) > 100^(2j) would leave the double range
     # from j = 77, so the tail takes its first factor apart.
